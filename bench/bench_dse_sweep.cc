@@ -5,21 +5,23 @@
  *
  * BM_EvalUncached / BM_EvalCached measure the paper's core amortization:
  * one profile evaluated across the thesis's full 243-point design space
- * (width x ROB x L1 x L2 x L3, Table 6.3), once through the plain
- * per-call path and once through a shared EvalContext. Outputs are
- * bitwise identical (tests/test_eval_cache.cc); only the repeated
- * per-workload rebuild cost differs. BM_DseSweepModelOnly sweeps the
- * full 243-config space over several workloads with no simulation — the
- * configuration the million-point claim extrapolates from — and
+ * (width x ROB x L1 x L2 x L3, Table 6.3), once with a fresh EvalContext
+ * per point and once through a shared one. Outputs are bitwise identical
+ * (tests/test_eval_cache.cc); only the repeated per-workload rebuild cost
+ * differs. BM_DseSweepModelOnly sweeps the full 243-config space over
+ * several workloads with no simulation, materializing every point, and
  * BM_DseSweepPaired gives the simulation-bound reference on a small
  * space.
  *
- * BM_DseSweepBatched runs the exact same space as BM_DseSweepModelOnly
- * through the streaming ModelOnlyPareto mode with a persistent
- * ModelEvalPool — the steady-state batched throughput the README quotes.
- * BM_DseSweepMillion sweeps a generated 2^20-point space (the paper's
- * million-point claim) without ever materializing the configs or the
- * point grid; it is excluded from smoke runs (see run_benchmarks.sh).
+ * BM_DseSweepBatched runs the same space through the O(front)
+ * ModelOnlyPareto mode with a persistent ModelEvalPool — the warm
+ * steady-state throughput the README quotes. Both sweeps run the one
+ * EvalContext engine; they differ only in point materialization and in
+ * cold versus pooled contexts, so their ratio is not recorded as an
+ * engine speedup. BM_DseSweepMillion sweeps a generated 2^20-point space
+ * (the paper's million-point claim) without ever materializing the
+ * configs or the point grid; it is excluded from smoke runs (see
+ * run_benchmarks.sh).
  */
 #include <benchmark/benchmark.h>
 
@@ -126,11 +128,10 @@ BENCHMARK(BM_DseSweepModelOnly)->Unit(benchmark::kMillisecond);
 void
 BM_DseSweepBatched(benchmark::State &state)
 {
-    // Same 4 workloads x 243 configs as BM_DseSweepModelOnly; the ratio
-    // of the two items_per_second readings is the batched-sweep speedup
-    // recorded in BENCH_speedup.json. The pool lives across iterations,
-    // so the min-of-reps aggregate measures warm steady-state throughput
-    // (repeated sweeps against pinned profiles, the pool's use case).
+    // Same 4 workloads x 243 configs as BM_DseSweepModelOnly. The pool
+    // lives across iterations, so the min-of-reps aggregate measures warm
+    // steady-state throughput (repeated sweeps against pinned profiles,
+    // the pool's use case).
     static const SweepInputs in = makeSweepInputs(
         {"balanced_mix", "stream_add", "ptr_chase", "branchy"}, 150000);
     static ModelEvalPool pool;

@@ -23,11 +23,11 @@ main()
                          suiteWorkload("balanced_mix")},
                         120000);
     DesignSpace space = DesignSpace::small();
-    auto points = sweep(b.traces, b.profiles, space.configs());
+    SweepResult r = sweepEx(b.traces, b.profiles, space.configs());
 
     // Cumulative error distribution (Fig 6.8-style).
     std::vector<double> errs;
-    for (const auto &pt : points)
+    for (const SweepPoint &pt : r.points)
         errs.push_back(std::fabs(100 * pt.powerError()));
     std::sort(errs.begin(), errs.end());
     std::printf("cumulative power |err| distribution:\n");

@@ -25,7 +25,14 @@ main()
                          suiteWorkload("mix_mid")},
                         120000);
     DesignSpace space = DesignSpace::small();
-    auto points = sweep(b.traces, b.profiles, space.configs());
+    SweepResult r = sweepEx(b.traces, b.profiles, space.configs());
+    // Config-major order (point i is workload i % nWorkloads, config
+    // i / nWorkloads): the seeded training split below draws one coin
+    // per point in this order.
+    std::vector<SweepPoint> points;
+    for (size_t ci = 0; ci < r.nConfigs; ++ci)
+        for (size_t wi = 0; wi < r.nWorkloads; ++wi)
+            points.push_back(r.at(wi, ci));
 
     // Train the empirical model on half the simulated points.
     Rng rng(2026);

@@ -24,16 +24,15 @@ main()
                          suiteWorkload("balanced_mix")},
                         120000);
     DesignSpace space = DesignSpace::small();
-    auto points = sweep(b.traces, b.profiles, space.configs());
+    SweepResult r = sweepEx(b.traces, b.profiles, space.configs());
 
     std::printf("%-16s %8s %8s %8s %8s\n", "benchmark", "sens", "spec",
                 "acc", "HVR");
     double s1 = 0, s2 = 0, s3 = 0, s4 = 0;
     for (size_t wi = 0; wi < b.size(); ++wi) {
         std::vector<Objective> trueObj, predObj;
-        for (const auto &pt : points) {
-            if (pt.workloadIdx != wi)
-                continue;
+        for (size_t ci = 0; ci < r.nConfigs; ++ci) {
+            const SweepPoint &pt = r.at(wi, ci);
             trueObj.push_back({pt.simCpi, pt.simWatts});
             predObj.push_back({pt.modelCpi, pt.modelWatts});
         }

@@ -7,8 +7,8 @@
  * own connection, issuing model-only 27-point sweeps against a profile
  * already resident in the server's LRU. The measured path is the full
  * service stack — socket round-trip, JSON parse, queue, executor,
- * batched sweep against the entry's persistent ModelEvalPool, response
- * serialization — so the number is comparable to BM_DseSweepBatched to
+ * sweep on the entry's warm EvalContext, response serialization — so
+ * the number is comparable to BM_DseSweepBatched to
  * read off the serving overhead on top of the bare sweep.
  *
  * BM_ServeEvaluate is the cheapest query (single-config evaluation
@@ -82,8 +82,8 @@ void
 BM_ServeThroughput(benchmark::State &state)
 {
     // One connection per benchmark thread; the sweep hits the warm LRU
-    // entry (memoized EvalContext + persistent ModelEvalPool), so the
-    // steady state is serving overhead + batched model evaluation.
+    // entry's EvalContext, so the steady state is serving overhead +
+    // warm model evaluation.
     serve::Client cli;
     if (!cli.connect(warmServerSocket()).ok()) {
         state.SkipWithError("connect failed");

@@ -220,7 +220,6 @@ for key in ("baseline", "speedup"):
 
 # In-binary baseline/optimized pairs: derive speedups automatically.
 pairs = {"BM_EvalCached": "BM_EvalUncached",
-         "BM_DseSweepBatched": "BM_DseSweepModelOnly",
          "BM_ProfileParallel/2": "BM_ProfileSequential",
          "BM_ProfileParallel/4": "BM_ProfileSequential"}
 for fast, slow in pairs.items():

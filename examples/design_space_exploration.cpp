@@ -12,7 +12,7 @@
  *                   (the paper's §7 prune-then-validate workflow)
  *   --mode paired   simulate + model every point (ground-truth reference;
  *                   slow — O(points x sim))
- *   --streaming     batched streaming sweep (ModelOnlyPareto): results
+ *   --streaming     streaming sweep (ModelOnlyPareto): results
  *                   fold into per-workload Pareto accumulators as they
  *                   are produced, so the point grid is never materialized
  *                   and memory stays O(front) however large the space

@@ -45,7 +45,7 @@ const std::vector<CommandHelp> kCommands = {
         "  --mode pareto  simulate the model-predicted front plus\n"
         "                 --validate N off-front samples\n"
         "  --mode paired  simulate every point (ground truth)\n"
-        "  --streaming    batched streaming sweep, O(front) memory\n"
+        "  --streaming    streaming sweep, O(front) memory\n"
         "  --full         243-point space instead of the 27-point one\n"
         "Simulation modes regenerate the suite workload named in the\n"
         "profile; profiles recorded from .mtf traces support model-only\n"

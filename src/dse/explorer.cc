@@ -1,7 +1,6 @@
 #include "dse/explorer.hh"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <utility>
 
@@ -14,38 +13,6 @@
 
 namespace mipp {
 
-namespace {
-
-/** Pool-slot identity: options under which a cached BatchEval was built.
- *  A custom branch model is never treated as poolable — model equality
- *  would need a deep compare, and the override is a test-only escape
- *  hatch — so its presence always rebuilds. */
-bool
-sameOptions(const ModelOptions &a, const ModelOptions &b)
-{
-    return a.baseLevel == b.baseLevel && a.mlpMode == b.mlpMode &&
-           a.modelMshrs == b.modelMshrs && a.modelBus == b.modelBus &&
-           a.modelLlcChaining == b.modelLlcChaining &&
-           a.modelPrefetcher == b.modelPrefetcher &&
-           a.perWindow == b.perWindow && !a.branchModel &&
-           !b.branchModel &&
-           a.cal.penaltyScale == b.cal.penaltyScale &&
-           a.cal.baseWindowFrac == b.cal.baseWindowFrac &&
-           a.cal.mlpWindowFrac == b.cal.mlpWindowFrac &&
-           a.cal.shadowScale == b.cal.shadowScale &&
-           a.cal.busQueueScale == b.cal.busQueueScale &&
-           a.cal.coldInject == b.cal.coldInject;
-}
-
-} // namespace
-
-struct ModelEvalPool::Slot {
-    const Profile *profile = nullptr;
-    ModelOptions opts;
-    std::unique_ptr<EvalContext> ctx;
-    std::unique_ptr<BatchEval> be;
-};
-
 ModelEvalPool::ModelEvalPool() = default;
 ModelEvalPool::~ModelEvalPool() = default;
 
@@ -56,19 +23,14 @@ ModelEvalPool::reserve(size_t nWorkloads)
         slots_.resize(nWorkloads);
 }
 
-BatchEval &
-ModelEvalPool::get(size_t wi, const Profile &profile,
-                   const ModelOptions &mopts)
+EvalContext &
+ModelEvalPool::get(size_t wi, const Profile &profile)
 {
     reserve(wi + 1);
-    Slot &s = slots_[wi];
-    if (!s.be || s.profile != &profile || !sameOptions(s.opts, mopts)) {
-        s.ctx = std::make_unique<EvalContext>(profile);
-        s.be = std::make_unique<BatchEval>(*s.ctx, mopts);
-        s.profile = &profile;
-        s.opts = mopts;
-    }
-    return *s.be;
+    std::unique_ptr<EvalContext> &ctx = slots_[wi];
+    if (!ctx || &ctx->profile() != &profile)
+        ctx = std::make_unique<EvalContext>(profile);
+    return *ctx;
 }
 
 void
@@ -97,30 +59,6 @@ struct Span {
     size_t wi, c0, c1;
 };
 
-/**
- * Chunk the workload-major point grid. Several chunks per execution
- * stream so uneven point costs still balance, but the grain respects
- * workload boundaries: a chunk never straddles two workloads, so one
- * memoized EvalContext serves every point in it. (The old config-major
- * mapping `wi = i % nw` interleaved workloads, thrashing any per-workload
- * state on every index.)
- */
-std::vector<Span>
-workloadMajorChunks(size_t nw, size_t nc, unsigned streams)
-{
-    std::vector<Span> spans;
-    if (nw == 0 || nc == 0)
-        return spans;
-    size_t target = std::max<size_t>(1, 4 * streams);
-    size_t perWorkload = std::max<size_t>(1, (target + nw - 1) / nw);
-    perWorkload = std::min(perWorkload, nc);
-    size_t grain = (nc + perWorkload - 1) / perWorkload;
-    for (size_t wi = 0; wi < nw; ++wi)
-        for (size_t c0 = 0; c0 < nc; c0 += grain)
-            spans.push_back({wi, c0, std::min(nc, c0 + grain)});
-    return spans;
-}
-
 unsigned
 streamCount(unsigned threads)
 {
@@ -128,45 +66,6 @@ streamCount(unsigned threads)
     if (threads != 0)
         streams = std::min(streams, threads);
     return streams;
-}
-
-/** Model every point, one EvalContext per (workload, chunk). Stops
- *  starting new work once @p cancel fires; untouched points keep
- *  evaluated == false. */
-void
-modelPass(const std::vector<Profile> &profiles,
-          const std::vector<CoreConfig> &configs, SweepResult &res,
-          const ModelOptions &mopts, unsigned threads,
-          const CancelToken &cancel)
-{
-    const size_t nc = res.nConfigs;
-    auto spans =
-        workloadMajorChunks(res.nWorkloads, nc, streamCount(threads));
-    parallelForShared(spans.size(), threads, [&](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-            if (cancel.cancelled())
-                return;
-            // Test hook: stretch chunk execution so a deadline can be
-            // made to expire mid-sweep deterministically. The injected
-            // delay waits on the sweep's token, so a cancelled request
-            // is not held hostage by its own fault injection.
-            (void)MIPP_FAILPOINT_C("dse.chunk_delay", &cancel);
-            MIPP_SPAN("dse.chunk");
-            const Span &sp = spans[s];
-            EvalContext ctx(profiles[sp.wi]);
-            for (size_t ci = sp.c0; ci < sp.c1; ++ci) {
-                if (cancel.cancelled())
-                    return;
-                ModelResult m = evaluateModel(ctx, configs[ci], mopts);
-                SweepPoint &pt = res.points[sp.wi * nc + ci];
-                pt.configIdx = ci;
-                pt.workloadIdx = sp.wi;
-                pt.modelCpi = m.cpiPerUop();
-                pt.modelWatts = computePower(m.activity, configs[ci]).total();
-                pt.evaluated = true;
-            }
-        }
-    });
 }
 
 /** Detail-simulate the selected (workload, config) pairs. Checks the
@@ -196,43 +95,14 @@ simPass(const std::vector<Trace> &traces,
     res.simInvocations += invoked.load(std::memory_order_relaxed);
 }
 
-/** Per-workload Pareto fronts over the model objectives. Only points
- *  the model pass reached participate: a degraded sweep's front is the
- *  true front of the evaluated subset, not polluted by the zero-CPI
- *  placeholders of never-evaluated points. */
-void
-extractModelFronts(SweepResult &res)
-{
-    res.modelFronts.assign(res.nWorkloads, {});
-    res.frontPoints.assign(res.nWorkloads, {});
-    for (size_t wi = 0; wi < res.nWorkloads; ++wi) {
-        std::vector<Objective> obj;
-        std::vector<size_t> cis;
-        obj.reserve(res.nConfigs);
-        for (size_t ci = 0; ci < res.nConfigs; ++ci) {
-            const SweepPoint &pt = res.at(wi, ci);
-            if (!pt.evaluated)
-                continue;
-            obj.push_back({pt.modelCpi, pt.modelWatts});
-            cis.push_back(ci);
-        }
-        // paretoFront indices are positions in obj; map back to config
-        // indices (identity for a completed sweep).
-        for (size_t k : paretoFront(obj))
-            res.modelFronts[wi].push_back(cis[k]);
-        for (size_t ci : res.modelFronts[wi])
-            res.frontPoints[wi].push_back(res.at(wi, ci));
-    }
-}
-
 /**
- * Chunking for the streaming model pass: one shard per workload unless
- * extra streams are idle. Model-only points cost near-uniform time, so
- * grains finer than the stream count only multiply cold evaluator
- * builds (and defeat the eval pool's whole-workload reuse).
+ * Shards of the model pass: one per workload unless extra streams are
+ * idle (or a pool pins each workload to its one warm context). Model
+ * points cost near-uniform time, so grains finer than the stream count
+ * only multiply cold context builds.
  */
 std::vector<Span>
-streamingChunks(size_t nw, size_t nc, unsigned streams)
+modelChunks(size_t nw, size_t nc, unsigned streams)
 {
     std::vector<Span> spans;
     if (nw == 0 || nc == 0)
@@ -248,15 +118,17 @@ streamingChunks(size_t nw, size_t nc, unsigned streams)
 }
 
 /**
- * Streaming batched model pass (SweepMode::ModelOnlyPareto): evaluate
- * every point through BatchEval in fixed-size batches and fold the
- * (CPI, watts) objectives straight into per-shard Pareto accumulators —
- * no SweepPoint grid. Shard accumulators merge per workload at the end;
- * since the batched values are bitwise identical to the scalar path's,
- * the merged fronts equal ModelOnly's paretoFront() output exactly.
+ * The model pass of every sweep mode: evaluate every point through its
+ * shard's EvalContext and fold the (CPI, watts) objectives straight into
+ * per-shard Pareto accumulators. When the grid is materialized
+ * (res.points pre-sized) each point is also written in place. Shard
+ * accumulators merge per workload at the end into the fronts, which
+ * equal paretoFront() over the evaluated points exactly. Stops starting
+ * new work once the cancel token fires; points never reached keep
+ * evaluated == false and stay out of the fronts.
  *
- * Exactly one of @p configs / @p gen is non-null: explicit config spans
- * are evaluated in place, generated spaces one scratch batch at a time.
+ * Exactly one of @p configs / @p gen is non-null: explicit configs are
+ * evaluated in place, generated ones through one scratch slot per shard.
  */
 void
 streamingModelPass(const std::vector<Profile> &profiles,
@@ -266,7 +138,12 @@ streamingModelPass(const std::vector<Profile> &profiles,
 {
     const size_t nw = res.nWorkloads;
     const size_t nc = res.nConfigs;
-    auto spans = streamingChunks(nw, nc, streamCount(sopts.threads));
+    const bool materialize = !res.points.empty();
+    auto spans = modelChunks(nw, nc,
+                             sopts.evalPool ? 1 : streamCount(sopts.threads));
+    // Concurrent shards then touch disjoint, pre-reserved pool slots.
+    if (sopts.evalPool)
+        sopts.evalPool->reserve(nw);
 
     // Power parameters are workload-independent; precompute them once
     // for explicit multi-workload spaces so every workload shares the
@@ -279,59 +156,57 @@ streamingModelPass(const std::vector<Profile> &profiles,
             pp.push_back(powerParams(cfg));
     }
 
-    // The pool is consulted only in the one-shard-per-workload regime:
-    // concurrent shards then touch disjoint, pre-reserved slots.
-    const bool wholeSpans = sopts.evalPool && spans.size() == nw;
-    if (wholeSpans)
-        sopts.evalPool->reserve(nw);
-
     std::vector<ParetoAccumulator> accs(spans.size());
     parallelForShared(
         spans.size(), sopts.threads, [&](size_t begin, size_t end) {
             for (size_t s = begin; s < end; ++s) {
                 if (sopts.cancel.cancelled())
                     return;
+                // Test hook: stretch shard execution so a deadline can
+                // be made to expire mid-sweep deterministically. The
+                // injected delay waits on the sweep's token, so a
+                // cancelled request is not held hostage by its own
+                // fault injection.
                 (void)MIPP_FAILPOINT_C("dse.chunk_delay",
                                        &sopts.cancel);
                 MIPP_SPAN("dse.chunk");
                 const Span &sp = spans[s];
-                std::unique_ptr<EvalContext> localCtx;
-                std::unique_ptr<BatchEval> localBe;
-                BatchEval *be;
-                if (wholeSpans) {
-                    be = &sopts.evalPool->get(sp.wi, profiles[sp.wi],
-                                              mopts);
+                std::unique_ptr<EvalContext> local;
+                EvalContext *ctx;
+                if (sopts.evalPool) {
+                    ctx = &sopts.evalPool->get(sp.wi, profiles[sp.wi]);
                 } else {
-                    localCtx =
-                        std::make_unique<EvalContext>(profiles[sp.wi]);
-                    localBe =
-                        std::make_unique<BatchEval>(*localCtx, mopts);
-                    be = localBe.get();
+                    local = std::make_unique<EvalContext>(profiles[sp.wi]);
+                    ctx = local.get();
                 }
 
-                constexpr size_t kBatch = 256;
-                std::array<BatchEval::Output, kBatch> out;
-                std::vector<CoreConfig> genBuf;
-                if (gen)
-                    genBuf.resize(kBatch);
+                constexpr size_t kCancelGrain = 256;
+                ModelResult m;
+                CoreConfig genCfg;
                 ParetoAccumulator &acc = accs[s];
-                for (size_t c0 = sp.c0; c0 < sp.c1; c0 += kBatch) {
-                    if (sopts.cancel.cancelled())
+                for (size_t ci = sp.c0; ci < sp.c1; ++ci) {
+                    if ((ci - sp.c0) % kCancelGrain == 0 &&
+                        sopts.cancel.cancelled())
                         return;
-                    const size_t n = std::min(kBatch, sp.c1 - c0);
-                    const CoreConfig *cfgs;
-                    if (gen) {
-                        for (size_t j = 0; j < n; ++j)
-                            (*gen)(c0 + j, genBuf[j]);
-                        cfgs = genBuf.data();
-                    } else {
-                        cfgs = configs->data() + c0;
+                    const CoreConfig *cfg = &genCfg;
+                    if (gen)
+                        (*gen)(ci, genCfg);
+                    else
+                        cfg = &(*configs)[ci];
+                    evaluateModelInto(*ctx, *cfg, mopts, m);
+                    const double cpi = m.cpiPerUop();
+                    const double watts = pp.empty() ?
+                        computePower(m.activity, *cfg).total() :
+                        computePower(m.activity, *cfg, pp[ci]).total();
+                    acc.insert({cpi, watts}, ci);
+                    if (materialize) {
+                        SweepPoint &pt = res.points[sp.wi * nc + ci];
+                        pt.configIdx = ci;
+                        pt.workloadIdx = sp.wi;
+                        pt.modelCpi = cpi;
+                        pt.modelWatts = watts;
+                        pt.evaluated = true;
                     }
-                    be->evaluate(cfgs, n, out.data(),
-                                 pp.empty() ? nullptr : pp.data() + c0);
-                    for (size_t j = 0; j < n; ++j)
-                        acc.insert({out[j].modelCpi, out[j].modelWatts},
-                                   c0 + j);
                 }
             }
         });
@@ -358,6 +233,7 @@ streamingModelPass(const std::vector<Profile> &profiles,
             pt.workloadIdx = wi;
             pt.modelCpi = en.obj.first;
             pt.modelWatts = en.obj.second;
+            pt.evaluated = true;
             fps.push_back(pt);
         }
         std::sort(fps.begin(), fps.end(),
@@ -436,46 +312,28 @@ sweepEx(const std::vector<Trace> &traces,
     if (!res.status.isOk())
         return res;
 
-    if (sopts.mode == SweepMode::ModelOnlyPareto) {
-        // Streaming: no point grid is ever materialized (O(front)).
-        streamingModelPass(profiles, &configs, nullptr, res, mopts,
-                           sopts);
-        res.degraded = sopts.cancel.cancelled();
-        return res;
-    }
+    // ModelOnlyPareto never materializes the point grid (O(front)); the
+    // other modes pre-size it for index-addressed writes (see
+    // SweepResult::points).
+    if (sopts.mode != SweepMode::ModelOnlyPareto)
+        res.points.assign(res.nWorkloads * res.nConfigs, {});
+    streamingModelPass(profiles, &configs, nullptr, res, mopts, sopts);
 
-    // Pre-sized, index-addressed (see SweepResult::points doc).
-    res.points.assign(res.nWorkloads * res.nConfigs, {});
-
-    modelPass(profiles, configs, res, mopts, sopts.threads,
-              sopts.cancel);
-
-    switch (sopts.mode) {
-      case SweepMode::Paired: {
-        std::vector<std::pair<size_t, size_t>> all;
-        all.reserve(res.points.size());
+    std::vector<std::pair<size_t, size_t>> sims;
+    if (sopts.mode == SweepMode::Paired) {
+        sims.reserve(res.points.size());
         for (size_t wi = 0; wi < res.nWorkloads; ++wi)
             for (size_t ci = 0; ci < res.nConfigs; ++ci)
-                all.push_back({wi, ci});
-        simPass(traces, configs, all, res, sopts.threads, sopts.cancel);
-        break;
-      }
-      case SweepMode::ModelOnly:
-        extractModelFronts(res);
-        break;
-      case SweepMode::ModelThenSimPareto: {
-        extractModelFronts(res);
+                sims.push_back({wi, ci});
+    } else if (sopts.mode == SweepMode::ModelThenSimPareto) {
         // Graceful degradation: when the deadline already fired (or
         // fires between sims), the remaining simulation budget is
         // dropped and the response is the model-only front — strictly
         // less validated, never wrong.
-        auto pairs = selectValidationPairs(res, sopts.validationSamples);
-        simPass(traces, configs, pairs, res, sopts.threads, sopts.cancel);
-        break;
-      }
-      case SweepMode::ModelOnlyPareto:
-        break;  // handled above (early return)
+        sims = selectValidationPairs(res, sopts.validationSamples);
     }
+    if (!sims.empty())
+        simPass(traces, configs, sims, res, sopts.threads, sopts.cancel);
     res.degraded = sopts.cancel.cancelled();
     return res;
 }
@@ -496,31 +354,6 @@ sweepGenerated(const std::vector<Profile> &profiles, size_t nConfigs,
     streamingModelPass(profiles, nullptr, &gen, res, mopts, sopts);
     res.degraded = sopts.cancel.cancelled();
     return res;
-}
-
-std::vector<SweepPoint>
-sweep(const std::vector<Trace> &traces,
-      const std::vector<Profile> &profiles,
-      const std::vector<CoreConfig> &configs, const ModelOptions &mopts,
-      unsigned threads)
-{
-    SweepOptions sopts;
-    sopts.mode = SweepMode::Paired;
-    sopts.threads = threads;
-    SweepResult res = sweepEx(traces, profiles, configs, mopts, sopts);
-    // The vector-returning wrapper has no status channel; surface
-    // structured input errors as the typed exception.
-    throwIfError(res.status);
-    // Preserve the historical config-major return order (point i was
-    // (wi = i % nw, ci = i / nw)): consumers like the fig-7.10 bench
-    // split points positionally with a seeded RNG, and reordering would
-    // silently change those regenerated figures.
-    std::vector<SweepPoint> points;
-    points.reserve(res.points.size());
-    for (size_t ci = 0; ci < res.nConfigs; ++ci)
-        for (size_t wi = 0; wi < res.nWorkloads; ++wi)
-            points.push_back(res.at(wi, ci));
-    return points;
 }
 
 } // namespace mipp

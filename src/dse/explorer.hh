@@ -2,32 +2,32 @@
  * @file
  * Design-space sweep driver (thesis Ch. 6-7 experimental harness).
  *
- * Pairs every workload with every core configuration. Three modes:
+ * Pairs every workload with every core configuration. Every mode takes
+ * its model values from one pass: each workload's configs are evaluated
+ * through a memoized EvalContext (one per worker shard) and folded into
+ * an online per-workload ParetoAccumulator, so the model fronts of all
+ * modes are bitwise identical. The modes differ in what else they keep:
  *
- *  - Paired: every point gets both the ground truth (cycle-level
- *    simulation + power from simulated activity) and the prediction
- *    (analytical model + power from modeled activity). O(points × sim).
- *  - ModelOnly: the analytical model over the full space, no simulation.
- *    O(points × model) — the paper's speed claim; this is how a
- *    million-point space is swept.
+ *  - Paired: every point also gets the ground truth (cycle-level
+ *    simulation + power from simulated activity). O(points × sim).
+ *  - ModelOnly: the analytical model over the full space, no simulation,
+ *    with every point materialized in SweepResult::points.
+ *    O(points × model) — the paper's speed claim.
  *  - ModelThenSimPareto: the paper's §7 workflow. The model is evaluated
- *    everywhere, the *model-side* Pareto front is extracted per workload,
- *    and detailed simulation runs only on front candidates plus a
- *    configurable validation sample. O(points × model + front × sim).
- *  - ModelOnlyPareto: ModelOnly evaluated through the batched BatchEval
- *    engine with *streaming* Pareto accumulation: results flow straight
- *    into an online per-workload ParetoAccumulator and are discarded, so
- *    peak memory is O(front), independent of the point count. The
- *    surviving fronts are bitwise identical to ModelOnly's (same model
- *    values, same tie handling). This is the mode that makes a
- *    million-point space practical; sweepGenerated() extends it to
- *    spaces too large to materialize even as a config vector.
+ *    everywhere, and detailed simulation runs only on the model-front
+ *    candidates plus a configurable validation sample.
+ *    O(points × model + front × sim).
+ *  - ModelOnlyPareto: ModelOnly without the point grid: results are
+ *    folded into the accumulators and discarded, so peak memory is
+ *    O(front), independent of the point count. This is the mode that
+ *    makes a million-point space practical; sweepGenerated() extends it
+ *    to spaces too large to materialize even as a config vector.
  *
  * Sweeps are workload-major: points for one workload are contiguous and
- * each worker chunk holds a single memoized EvalContext, so per-workload
- * state (StatStacks, chain weights, MLP walks) is built once per chunk
- * instead of once per point. Streaming sweeps can additionally reuse the
- * batched evaluators across calls via ModelEvalPool.
+ * a shard never straddles two workloads, so per-workload state
+ * (StatStacks, chain weights, MLP walks) is built once per shard instead
+ * of once per point. A ModelEvalPool keeps those contexts warm across
+ * sweep calls.
  */
 
 #ifndef MIPP_DSE_EXPLORER_HH
@@ -82,25 +82,24 @@ enum class SweepMode {
     Paired,             ///< simulate + model every point
     ModelOnly,          ///< model every point, simulate nothing
     ModelThenSimPareto, ///< model everywhere, simulate model-front + sample
-    ModelOnlyPareto,    ///< batched model pass, streaming O(front) fronts
+    ModelOnlyPareto,    ///< model every point, keep only O(front) fronts
 };
 
 class EvalContext;
-class BatchEval;
 
 /**
- * Reusable per-workload batched evaluators for repeated streaming sweeps
- * against pinned profiles: the profile-level memo tables (StatStacks,
- * stride-MLP walks, dispatch-limit entries...) stay warm across sweep
- * calls instead of being rebuilt per call. Entries are keyed by workload
- * index and validated against the profile identity and the model options;
- * any mismatch rebuilds the entry.
+ * Per-workload evaluation contexts kept warm across sweep calls against
+ * pinned profiles: the memo tables (StatStacks, stride-MLP walks,
+ * dispatch-limit entries...) are built once instead of once per call.
+ * Slots are keyed by workload index and validated against the profile
+ * identity; a different profile rebuilds the slot. Contexts serve any
+ * ModelOptions, so options never rebuild a slot.
  *
- * Lifetime: pooled entries pin their Profile like EvalContext does — the
- * profiles must outlive the pool, unmutated. Thread safety: a streaming
- * sweep consults the pool only when each workload maps to exactly one
- * shard (it calls reserve() up front, so concurrent get() calls touch
- * disjoint slots); direct users must serialize access themselves.
+ * Lifetime: pooled contexts pin their Profile — the profiles must
+ * outlive the pool, unmutated. Thread safety: a sweep with a pool runs
+ * one shard per workload and calls reserve() up front, so concurrent
+ * get() calls touch disjoint slots; direct users must serialize access
+ * themselves.
  */
 class ModelEvalPool
 {
@@ -114,16 +113,14 @@ class ModelEvalPool
      *  before concurrent use). */
     void reserve(size_t nWorkloads);
 
-    /** Pooled evaluator for workload @p wi pinned to @p profile under
-     *  @p mopts; (re)built on first use or identity mismatch. */
-    BatchEval &get(size_t wi, const Profile &profile,
-                   const ModelOptions &mopts);
+    /** Pooled context for workload @p wi pinned to @p profile;
+     *  (re)built on first use or identity mismatch. */
+    EvalContext &get(size_t wi, const Profile &profile);
 
     void clear();
 
   private:
-    struct Slot;
-    std::vector<Slot> slots_;
+    std::vector<std::unique_ptr<EvalContext>> slots_;
 };
 
 /** Sweep configuration. */
@@ -142,9 +139,10 @@ struct SweepOptions {
      */
     size_t validationSamples = 0;
 
-    /** Streaming modes: optional cross-call evaluator pool (see
-     *  ModelEvalPool). The pool must outlive the sweep call; profiles
-     *  must outlive the pool. Ignored by non-streaming modes. */
+    /** Optional cross-call context pool (see ModelEvalPool). The pool
+     *  must outlive the sweep call; profiles must outlive the pool. With
+     *  a pool, each workload is evaluated as one shard on its pooled
+     *  context. */
     ModelEvalPool *evalPool = nullptr;
 
     /**
@@ -206,8 +204,7 @@ struct SweepResult {
     /**
      * Structured outcome. InvalidArgument (empty design space, no
      * workloads, trace/profile count mismatch) comes back here instead
-     * of as a silently empty result; the legacy sweep() wrapper throws
-     * it as a StatusError. A degraded sweep still reports Ok.
+     * of as a silently empty result. A degraded sweep still reports Ok.
      */
     Status status;
 
@@ -216,16 +213,16 @@ struct SweepResult {
     bool degraded = false;
 
     /** Per workload, config indices of the model-predicted Pareto front
-     *  over (model CPI, model watts). Filled in ModelOnly,
-     *  ModelThenSimPareto and ModelOnlyPareto modes. */
+     *  over (model CPI, model watts), ascending. Filled in every mode;
+     *  a degraded sweep's front covers the evaluated points only. */
     std::vector<std::vector<size_t>> modelFronts;
 
     /**
      * Per workload, the front points themselves (ascending configIdx,
-     * mirroring modelFronts). In streaming ModelOnlyPareto mode this is
-     * the only per-point output — `points` stays empty so the sweep runs
-     * in O(front) memory — but it is filled by the materializing
-     * model-front modes too, so consumers can read fronts uniformly.
+     * mirroring modelFronts; model fields only). In ModelOnlyPareto mode
+     * this is the only per-point output — `points` stays empty so the
+     * sweep runs in O(front) memory — but every mode fills it, so
+     * consumers can read fronts uniformly.
      */
     std::vector<std::vector<SweepPoint>> frontPoints;
 
@@ -254,8 +251,8 @@ using ConfigGenerator = std::function<void(size_t ci, CoreConfig &out)>;
 
 /**
  * Streaming model-only sweep over a *generated* design space: the
- * nConfigs points are produced on the fly by @p gen, evaluated through
- * the batched engine and folded into per-workload Pareto accumulators —
+ * nConfigs points are produced on the fly by @p gen, evaluated and
+ * folded into per-workload Pareto accumulators —
  * neither the config vector nor the result grid is ever materialized, so
  * memory is O(front) + O(batch) however large the space. Runs in
  * SweepMode::ModelOnlyPareto regardless of sopts.mode; the returned
@@ -265,17 +262,6 @@ SweepResult sweepGenerated(const std::vector<Profile> &profiles,
                            size_t nConfigs, const ConfigGenerator &gen,
                            const ModelOptions &mopts = {},
                            const SweepOptions &sopts = {});
-
-/**
- * Compatibility wrapper: Paired sweep over all pairs, returning the bare
- * point list in the historical config-major order (point i is
- * workload i % nWorkloads, config i / nWorkloads).
- */
-std::vector<SweepPoint>
-sweep(const std::vector<Trace> &traces,
-      const std::vector<Profile> &profiles,
-      const std::vector<CoreConfig> &configs,
-      const ModelOptions &mopts = {}, unsigned threads = 0);
 
 } // namespace mipp
 

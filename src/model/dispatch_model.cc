@@ -56,24 +56,26 @@ schedulePorts(const std::array<double, kNumUopTypes> &typeCounts,
         std::sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
             return activity[a] < activity[b];
         });
-        size_t k = 1;
-        while (remaining > 0) {
+        // Each step either finishes or pulls one more port into the fill,
+        // so the loop is bounded by the number of distinct port levels.
+        // Once every eligible port is in the fill the rest is spread
+        // evenly: testing capacity there instead can spin forever, since
+        // level + remaining rounds back to level when remaining is below
+        // the rounding step of level.
+        for (size_t k = 1; remaining > 0; ++k) {
             double level = activity[sorted[0]];
-            double next = k < sorted.size() ?
-                activity[sorted[k]] : level + remaining;
-            double capacity = (next - level) * k;
+            double capacity = k < sorted.size() ?
+                (activity[sorted[k]] - level) * k : remaining;
             if (capacity >= remaining) {
                 double add = remaining / k;
                 for (size_t i = 0; i < k; ++i)
                     activity[sorted[i]] += add;
-                remaining = 0;
-            } else {
-                for (size_t i = 0; i < k; ++i)
-                    activity[sorted[i]] = next;
-                remaining -= capacity;
-                if (k < sorted.size())
-                    ++k;
+                break;
             }
+            double next = activity[sorted[k]];
+            for (size_t i = 0; i < k; ++i)
+                activity[sorted[i]] = next;
+            remaining -= capacity;
         }
     }
     return activity;

@@ -7,36 +7,84 @@
 
 #include "model/branch_model.hh"
 #include "model/mlp_model.hh"
-#include "power/power_model.hh"
 
 namespace mipp {
 
 namespace {
 
-/** Log-fit interpolation over per-window chain samples (thesis Eq 5.2).
- *  Shared by every evaluation of a window at a given ROB size; the math
- *  matches DependenceChains::interpolate for the profiled global chains. */
-double
-interpChain(const std::vector<float> &vals,
-            const std::vector<uint32_t> &sizes, double rob)
+using Level = ModelOptions::BaseLevel;
+
+/** Replace the limiters the ablation level leaves out by the width. */
+void
+applyBaseLevel(DispatchLimits &lim, Level level)
 {
-    if (vals.empty())
+    switch (level) {
+      case Level::Instructions:
+      case Level::MicroOps:
+        lim.dependences = lim.width;
+        lim.ports = lim.width;
+        lim.fus = lim.width;
+        break;
+      case Level::CriticalPath:
+        lim.ports = lim.width;
+        lim.fus = lim.width;
+        break;
+      case Level::Functional:
+        break;
+    }
+}
+
+/** Bit-per-supported-type mask of a port, as canIssue() would probe it
+ *  (bit 0 distinguishes "port with no types" from an absent port). */
+uint64_t
+portMask(const IssuePort &port)
+{
+    uint64_t mask = 1;
+    for (UopType s : port.supports)
+        mask |= uint64_t{2} << static_cast<int>(s);
+    return mask;
+}
+
+uint64_t
+fuWord(const FuPool &pool)
+{
+    return pool.count | (uint64_t{pool.pipelined} << 32);
+}
+
+/** FNV-1a over the memo key words; buckets only narrow the candidate
+ *  list — an exact key compare still decides, so collisions are safe. */
+uint64_t
+hashWords(const std::vector<uint64_t> &v)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (uint64_t w : v) {
+        h ^= w;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+} // namespace
+
+double
+windowChainLength(const std::vector<float> &cp,
+                  const std::vector<uint32_t> &robSizes, double rob)
+{
+    if (cp.empty())
         return 1.0;
-    if (vals.size() == 1)
-        return vals[0];
+    if (cp.size() == 1)
+        return cp[0];
     size_t hi = 1;
-    while (hi + 1 < sizes.size() && sizes[hi] < rob)
+    while (hi + 1 < robSizes.size() && robSizes[hi] < rob)
         ++hi;
     size_t lo = hi - 1;
-    double x0 = std::log(static_cast<double>(sizes[lo]));
-    double x1 = std::log(static_cast<double>(sizes[hi]));
-    double y0 = vals[lo], y1 = vals[hi];
+    double x0 = std::log(static_cast<double>(robSizes[lo]));
+    double x1 = std::log(static_cast<double>(robSizes[hi]));
+    double y0 = cp[lo], y1 = cp[hi];
     double a = (y1 - y0) / (x1 - x0);
     double v = a * (std::log(std::max(rob, 2.0)) - x0) + y0;
     return std::max(v, 1.0);
 }
-
-} // namespace
 
 double
 mixAvgLatency(const std::array<double, kNumUopTypes> &frac,
@@ -58,23 +106,9 @@ ablatedLimits(const std::array<double, kNumUopTypes> &typeCounts,
               double cp, double avgLat, const CoreConfig &cfg,
               ModelOptions::BaseLevel level, double window)
 {
-    using Level = ModelOptions::BaseLevel;
     DispatchLimits lim = dispatchLimits(typeCounts, cp, avgLat, cfg,
                                         window);
-    switch (level) {
-      case Level::Instructions:
-      case Level::MicroOps:
-        lim.dependences = lim.width;
-        lim.ports = lim.width;
-        lim.fus = lim.width;
-        break;
-      case Level::CriticalPath:
-        lim.ports = lim.width;
-        lim.fus = lim.width;
-        break;
-      case Level::Functional:
-        break;
-    }
+    applyBaseLevel(lim, level);
     return lim;
 }
 
@@ -94,216 +128,57 @@ internedBranchModel(BranchPredictorKind kind)
     return table[idx < table.size() ? idx : 0];
 }
 
+void
+EvalContext::ChainInterp::build(const DependenceChains &chains, bool useAbp)
+{
+    const std::vector<uint32_t> &sizes = chains.robSizes();
+    empty = sizes.empty();
+    if (empty)
+        return;
+    if (sizes.size() == 1) {
+        single = true;
+        singleValue = useAbp ? chains.abpAt(0) : chains.cpAt(0);
+        return;
+    }
+    hiSizes.reserve(sizes.size() - 1);
+    segs.reserve(sizes.size() - 1);
+    for (size_t hi = 1; hi < sizes.size(); ++hi) {
+        size_t lo = hi - 1;
+        double x0 = std::log(static_cast<double>(sizes[lo]));
+        double x1 = std::log(static_cast<double>(sizes[hi]));
+        double y0 = useAbp ? chains.abpAt(lo) : chains.cpAt(lo);
+        double y1 = useAbp ? chains.abpAt(hi) : chains.cpAt(hi);
+        Seg s;
+        s.zero = y0 == 0 && y1 == 0;
+        s.a = (y1 - y0) / (x1 - x0);
+        s.b = y0 - s.a * x0;
+        hiSizes.push_back(static_cast<double>(sizes[hi]));
+        segs.push_back(s);
+    }
+}
+
+double
+EvalContext::ChainInterp::eval(double rob) const
+{
+    if (empty)
+        return 0;
+    if (single)
+        return singleValue;
+    rob = std::max(rob, 2.0);
+    const size_t n = hiSizes.size() + 1;
+    size_t hi = 1;
+    while (hi + 1 < n && hiSizes[hi - 1] < rob)
+        ++hi;
+    const Seg &s = segs[hi - 1];
+    if (s.zero)
+        return 0;
+    double v = s.a * std::log(rob) + s.b;
+    return std::max(v, 1.0);
+}
+
 EvalContext::EvalContext(const Profile &p)
     : p_(p), ss_(p.reuseAll), ssI_(p.reuseInsts)
 {
-}
-
-double
-EvalContext::memoRatio(std::vector<RatioEntry> &memo, const StatStack &ss,
-                       const LogHistogram &h, double cacheLines)
-{
-    uint64_t bits = std::bit_cast<uint64_t>(cacheLines);
-    for (const RatioEntry &e : memo)
-        if (e.h == &h && e.linesBits == bits)
-            return e.value;
-    double v = ss.missRatio(h, cacheLines);
-    memo.push_back({&h, bits, v});
-    return v;
-}
-
-double
-EvalContext::dataMissRatio(const LogHistogram &h, double cacheLines)
-{
-    return memoRatio(dataRatios_, ss_, h, cacheLines);
-}
-
-double
-EvalContext::instMissRatio(const LogHistogram &h, double cacheLines)
-{
-    return memoRatio(instRatios_, ssI_, h, cacheLines);
-}
-
-const EvalContext::ChainWeights &
-EvalContext::chainWeights(double l2Lines, double l3Lines)
-{
-    ChainKey key{std::bit_cast<uint64_t>(l2Lines),
-                 std::bit_cast<uint64_t>(l3Lines)};
-    for (auto &[k, v] : chains_)
-        if (k == key)
-            return v;
-
-    // Same arithmetic, in the same order, as the pre-cache inline loop in
-    // evaluateModel: an LLC hit on a load that depends on other loads
-    // cannot be overlapped, so it serializes.
-    ChainWeights cw;
-    cw.opWeight.assign(p_.memOps.size(), 0.0);
-    double loadsSeen = 0;
-    for (size_t i = 0; i < p_.memOps.size(); ++i) {
-        const StaticMemProfile &sp = p_.memOps[i];
-        if (sp.isStore)
-            continue;
-        double hit3 = std::max(0.0, ss_.missRatio(sp.reuse, l2Lines) -
-                                        ss_.missRatio(sp.reuse, l3Lines));
-        double dep = std::clamp(sp.avgLoadDepth() - 1.0, 0.0, 1.0);
-        cw.opWeight[i] = hit3 * dep;
-        cw.globalSerialHits += cw.opWeight[i] * sp.count;
-        loadsSeen += sp.count;
-    }
-    if (loadsSeen > 0)
-        cw.globalSerialHits /= loadsSeen; // per load
-
-    cw.windowSerial.assign(p_.windows.size(), 0.0);
-    for (size_t wi = 0; wi < p_.windows.size(); ++wi) {
-        double serialW = 0;
-        for (const auto &[opIdx, cnt] : p_.windows[wi].memCounts)
-            serialW += cw.opWeight[opIdx] * cnt;
-        cw.windowSerial[wi] = serialW;
-    }
-    return chains_.emplace_back(key, std::move(cw)).second;
-}
-
-const std::vector<double> &
-EvalContext::windowCp(uint32_t robSize)
-{
-    for (auto &[k, v] : windowCps_)
-        if (k == robSize)
-            return v;
-    std::vector<double> cps;
-    cps.reserve(p_.windows.size());
-    for (const WindowProfile &w : p_.windows)
-        cps.push_back(interpChain(w.cp, p_.robSizes, robSize));
-    return windowCps_.emplace_back(robSize, std::move(cps)).second;
-}
-
-const std::vector<DispatchLimits> &
-EvalContext::windowLimits(const CoreConfig &cfg,
-                          ModelOptions::BaseLevel level, double mrL1,
-                          uint32_t depWindow)
-{
-    // The key is the complete input material of the computation below,
-    // stored verbatim: ablation level, width, ROB, the truncated
-    // dependence window, the L1D miss ratio entering the average
-    // latency, the latency-relevant cache levels, the execution-latency
-    // table, the per-port issue capabilities and the FU pools. Two
-    // configs that agree on all of it provably produce the same limits
-    // for every window.
-    std::vector<uint64_t> key;
-    key.reserve(15 + kNumUopTypes * 2 + cfg.ports.size());
-    key.push_back(static_cast<uint64_t>(level));
-    key.push_back(cfg.dispatchWidth);
-    key.push_back(cfg.robSize);
-    key.push_back(depWindow);
-    key.push_back(std::bit_cast<uint64_t>(mrL1));
-    key.push_back(cfg.l1d.latency);
-    key.push_back(cfg.l2.latency);
-    for (int t = 0; t < kNumUopTypes; ++t)
-        key.push_back(cfg.lat.cycles[t]);
-    for (const IssuePort &port : cfg.ports) {
-        uint64_t mask = 1; // distinguish "port with no types" from absent
-        for (int t = 0; t < kNumUopTypes; ++t)
-            if (port.canIssue(static_cast<UopType>(t)))
-                mask |= uint64_t{2} << t;
-        key.push_back(mask);
-    }
-    for (int t = 0; t < kNumUopTypes; ++t)
-        key.push_back(cfg.fus[t].count |
-                      (uint64_t{cfg.fus[t].pipelined} << 32));
-
-    for (auto &[k, v] : windowLimits_)
-        if (k == key)
-            return v;
-
-    const uint32_t w0 = depWindow > 0 ?
-        std::min(depWindow, cfg.robSize) : cfg.robSize;
-    const std::vector<double> &cps = windowCp(w0);
-    std::vector<DispatchLimits> lims;
-    lims.reserve(p_.windows.size());
-    for (size_t wi = 0; wi < p_.windows.size(); ++wi) {
-        const WindowProfile &w = p_.windows[wi];
-        double uopsW = w.uops();
-        if (uopsW <= 0) {
-            lims.push_back({});
-            continue;
-        }
-        std::array<double, kNumUopTypes> fracW{}, countsW{};
-        for (int t = 0; t < kNumUopTypes; ++t) {
-            countsW[t] = w.uopCounts[t];
-            fracW[t] = w.uopCounts[t] / uopsW;
-        }
-        double latW = mixAvgLatency(fracW, cfg, mrL1);
-        lims.push_back(
-            ablatedLimits(countsW, cps[wi], latW, cfg, level, w0));
-    }
-    return windowLimits_.emplace_back(std::move(key), std::move(lims))
-        .second;
-}
-
-double
-EvalContext::branchResolution(const CoreConfig &cfg, double avgLat,
-                              double uopsBetweenMispredicts)
-{
-    ResolutionKey key{cfg.dispatchWidth, cfg.robSize,
-                      std::bit_cast<uint64_t>(avgLat),
-                      std::bit_cast<uint64_t>(uopsBetweenMispredicts)};
-    for (const auto &[k, v] : resolutions_)
-        if (k == key)
-            return v;
-    double v = branchResolutionTime(p_.chains, cfg, avgLat,
-                                    uopsBetweenMispredicts);
-    resolutions_.emplace_back(key, v);
-    return v;
-}
-
-const MlpEstimate &
-EvalContext::mlpEstimate(const CoreConfig &cfg, const ModelOptions &opts,
-                         uint32_t windowUops)
-{
-    const bool prefetchActive =
-        opts.modelPrefetcher && cfg.prefetcherEnabled;
-    MlpKey key{};
-    key.mode = static_cast<uint8_t>(opts.mlpMode);
-    key.mshrs = opts.modelMshrs;
-    key.prefetcher = opts.modelPrefetcher;
-    key.l3Lines = cfg.l3.numLines();
-    key.rob = cfg.robSize;
-    key.mshrCount = cfg.mshrs;
-    // Width, memory latency and the prefetch-table size are only read on
-    // the prefetcher path (thesis Eq 4.13 timeliness); keying them at 0
-    // otherwise lets e.g. a pure width sweep share one entry.
-    key.prefetcherEntries = prefetchActive ? cfg.prefetcherEntries : 0;
-    key.width = prefetchActive ? cfg.dispatchWidth : 0;
-    key.memLatency = prefetchActive ? cfg.memLatency : 0;
-    key.windowUops = windowUops;
-    key.coldInjectBits = std::bit_cast<uint64_t>(opts.cal.coldInject);
-
-    for (auto &[k, v] : mlps_)
-        if (k == key)
-            return v;
-
-    MlpOptions mo{opts.modelMshrs, opts.modelPrefetcher};
-    mo.windowUops = windowUops;
-    mo.coldInject = opts.cal.coldInject;
-    MlpEstimate est;
-    switch (opts.mlpMode) {
-      case ModelOptions::MlpMode::ColdMiss:
-        est = coldMissMlp(p_, cfg, ss_, mo);
-        break;
-      case ModelOptions::MlpMode::Stride:
-        est = strideMlp(p_, cfg, ss_, mo);
-        break;
-      case ModelOptions::MlpMode::None:
-        est.mlp = 1.0;
-        break;
-    }
-    return mlps_.emplace_back(key, std::move(est)).second;
-}
-
-const EvalContext::WindowStatics &
-EvalContext::windowStatics()
-{
-    if (staticsBuilt_)
-        return statics_;
     WindowStatics &ws = statics_;
     const size_t nw = p_.windows.size();
     ws.uops.reserve(nw);
@@ -356,91 +231,23 @@ EvalContext::windowStatics()
     ws.iAccesses = static_cast<double>(p_.reuseInsts.total());
     ws.globalBranches = static_cast<double>(p_.branch.branches);
     ws.globalEntropy = p_.branch.entropy();
-    staticsBuilt_ = true;
-    return statics_;
-}
 
-// ===========================================================================
-// BatchEval
-// ===========================================================================
+    cpInterp_.build(p_.chains, false);
+    abpInterp_.build(p_.chains, true);
 
-namespace {
-
-/** FNV-1a over the memo key words; buckets only narrow the candidate
- *  list — an exact key compare still decides, so collisions are safe. */
-uint64_t
-hashWords(const std::vector<uint64_t> &v)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t w : v) {
-        h ^= w;
-        h *= 1099511628211ull;
+    depClamp_.reserve(p_.memOps.size());
+    for (const StaticMemProfile &sp : p_.memOps) {
+        depClamp_.push_back(std::clamp(sp.avgLoadDepth() - 1.0, 0.0, 1.0));
+        if (!sp.isStore)
+            loadsSeen_ += sp.count;
     }
-    return h;
-}
-
-} // namespace
-
-void
-BatchEval::ChainInterp::build(const DependenceChains &chains, bool useAbp)
-{
-    const std::vector<uint32_t> &sizes = chains.robSizes();
-    empty = sizes.empty();
-    if (empty)
-        return;
-    if (sizes.size() == 1) {
-        single = true;
-        singleValue = useAbp ? chains.abpAt(0) : chains.cpAt(0);
-        return;
-    }
-    hiSizes.reserve(sizes.size() - 1);
-    segs.reserve(sizes.size() - 1);
-    for (size_t hi = 1; hi < sizes.size(); ++hi) {
-        size_t lo = hi - 1;
-        double x0 = std::log(static_cast<double>(sizes[lo]));
-        double x1 = std::log(static_cast<double>(sizes[hi]));
-        double y0 = useAbp ? chains.abpAt(lo) : chains.cpAt(lo);
-        double y1 = useAbp ? chains.abpAt(hi) : chains.cpAt(hi);
-        Seg s;
-        s.zero = y0 == 0 && y1 == 0;
-        s.a = (y1 - y0) / (x1 - x0);
-        s.b = y0 - s.a * x0;
-        hiSizes.push_back(static_cast<double>(sizes[hi]));
-        segs.push_back(s);
-    }
-}
-
-double
-BatchEval::ChainInterp::eval(double rob) const
-{
-    if (empty)
-        return 0;
-    if (single)
-        return singleValue;
-    rob = std::max(rob, 2.0);
-    const size_t n = hiSizes.size() + 1;
-    size_t hi = 1;
-    while (hi + 1 < n && hiSizes[hi - 1] < rob)
-        ++hi;
-    const Seg &s = segs[hi - 1];
-    if (s.zero)
-        return 0;
-    double v = s.a * std::log(rob) + s.b;
-    return std::max(v, 1.0);
-}
-
-BatchEval::BatchEval(EvalContext &ec, const ModelOptions &opts)
-    : ec_(ec), opts_(opts)
-{
-    cpInterp_.build(ec_.profile().chains, false);
-    abpInterp_.build(ec_.profile().chains, true);
     ratioTable_.reserve(64);
 }
 
-BatchEval::~BatchEval() = default;
+EvalContext::~EvalContext() = default;
 
-const BatchEval::Ratios &
-BatchEval::ratios(const CoreConfig &cfg)
+const EvalContext::Ratios &
+EvalContext::ratios(const CoreConfig &cfg)
 {
     const uint64_t k0 =
         uint64_t{cfg.l1d.numLines()} << 32 | cfg.l2.numLines();
@@ -449,34 +256,36 @@ BatchEval::ratios(const CoreConfig &cfg)
     for (RatioSlot &s : ratioTable_)
         if (s.k0 == k0 && s.k1 == k1)
             return s.r;
-    const Profile &p = ec_.profile();
     const double l1L = cfg.l1d.numLines();
     const double l2L = cfg.l2.numLines();
     const double l3L = cfg.l3.numLines();
     Ratios r;
-    r.l1 = ec_.dataMissRatio(p.reuseLoads, l1L);
-    r.l2 = ec_.dataMissRatio(p.reuseLoads, l2L);
-    r.l3 = ec_.dataMissRatio(p.reuseLoads, l3L);
-    r.s1 = ec_.dataMissRatio(p.reuseStores, l1L);
-    r.s2 = ec_.dataMissRatio(p.reuseStores, l2L);
-    r.s3 = ec_.dataMissRatio(p.reuseStores, l3L);
-    r.i1 = ec_.instMissRatio(p.reuseInsts, cfg.l1i.numLines());
-    r.i2 = ec_.instMissRatio(p.reuseInsts, l2L);
-    r.i3 = ec_.instMissRatio(p.reuseInsts, l3L);
+    r.l1 = ss_.missRatio(p_.reuseLoads, l1L);
+    r.l2 = ss_.missRatio(p_.reuseLoads, l2L);
+    r.l3 = ss_.missRatio(p_.reuseLoads, l3L);
+    r.s1 = ss_.missRatio(p_.reuseStores, l1L);
+    r.s2 = ss_.missRatio(p_.reuseStores, l2L);
+    r.s3 = ss_.missRatio(p_.reuseStores, l3L);
+    r.i1 = ssI_.missRatio(p_.reuseInsts, cfg.l1i.numLines());
+    r.i2 = ssI_.missRatio(p_.reuseInsts, l2L);
+    r.i3 = ssI_.missRatio(p_.reuseInsts, l3L);
     ratioTable_.push_back({k0, k1, r});
     return ratioTable_.back().r;
 }
 
 void
-BatchEval::buildLimitsKey(const CoreConfig &cfg, uint32_t depWindow,
-                          uint64_t mrL1Bits)
+EvalContext::buildLimitsKey(const CoreConfig &cfg, Level level,
+                            uint32_t depWindow, uint64_t mrL1Bits)
 {
-    // Complete input material of a LimitsEntry: everything
-    // EvalContext::windowLimits keys on (the ablation level is pinned in
-    // opts_). The global limits add no inputs beyond it — their counts
-    // and chain length are profile + depWindow functions.
+    // The complete input material of a LimitsEntry: ablation level,
+    // width, ROB, the truncated dependence window, the L1D miss ratio
+    // entering the average latency, the latency-relevant cache levels,
+    // the execution-latency table, the per-port issue capabilities and
+    // the FU pools. The global limits add no inputs beyond it — their
+    // counts and chain length are profile + depWindow functions.
     std::vector<uint64_t> &key = keyBuf_;
     key.clear();
+    key.push_back(static_cast<uint64_t>(level));
     key.push_back(cfg.dispatchWidth);
     key.push_back(cfg.robSize);
     key.push_back(depWindow);
@@ -485,36 +294,24 @@ BatchEval::buildLimitsKey(const CoreConfig &cfg, uint32_t depWindow,
     key.push_back(cfg.l2.latency);
     for (int t = 0; t < kNumUopTypes; ++t)
         key.push_back(cfg.lat.cycles[t]);
-    for (const IssuePort &port : cfg.ports) {
-        // Same bit-per-supported-type mask canIssue() would produce,
-        // built by walking the (short) supports list once instead of
-        // probing canIssue per type (it scans the list per probe).
-        uint64_t mask = 1;
-        for (UopType s : port.supports)
-            mask |= uint64_t{2} << static_cast<int>(s);
-        key.push_back(mask);
-    }
+    for (const IssuePort &port : cfg.ports)
+        key.push_back(portMask(port));
     for (int t = 0; t < kNumUopTypes; ++t)
-        key.push_back(cfg.fus[t].count |
-                      (uint64_t{cfg.fus[t].pipelined} << 32));
+        key.push_back(fuWord(cfg.fus[t]));
 }
 
-const BatchEval::PortsEntry &
-BatchEval::portsEntry(const CoreConfig &cfg)
+const EvalContext::PortsEntry &
+EvalContext::portsEntry(const CoreConfig &cfg)
 {
     std::vector<uint64_t> key;
     key.reserve(cfg.ports.size());
-    for (const IssuePort &port : cfg.ports) {
-        uint64_t mask = 1;
-        for (UopType s : port.supports)
-            mask |= uint64_t{2} << static_cast<int>(s);
-        key.push_back(mask);
-    }
+    for (const IssuePort &port : cfg.ports)
+        key.push_back(portMask(port));
     for (PortsEntry &e : portsTable_)
         if (e.key == key)
             return e;
 
-    const EvalContext::WindowStatics &ws = ec_.windowStatics();
+    const WindowStatics &ws = statics_;
     PortsEntry e;
     e.key = std::move(key);
     e.windowMaxAct.reserve(ws.uops.size());
@@ -534,21 +331,20 @@ BatchEval::portsEntry(const CoreConfig &cfg)
     return portsTable_.back();
 }
 
-const BatchEval::FuEntry &
-BatchEval::fuEntry(const CoreConfig &cfg)
+const EvalContext::FuEntry &
+EvalContext::fuEntry(const CoreConfig &cfg)
 {
     std::vector<uint64_t> key;
     key.reserve(kNumUopTypes * 2);
     for (int t = 0; t < kNumUopTypes; ++t)
-        key.push_back(cfg.fus[t].count |
-                      (uint64_t{cfg.fus[t].pipelined} << 32));
+        key.push_back(fuWord(cfg.fus[t]));
     for (int t = 0; t < kNumUopTypes; ++t)
         key.push_back(cfg.lat.cycles[t]);
     for (FuEntry &e : fuTable_)
         if (e.key == key)
             return e;
 
-    const EvalContext::WindowStatics &ws = ec_.windowStatics();
+    const WindowStatics &ws = statics_;
     // The per-type rate n*u/count (or /count*lat) is width independent,
     // so the min over types memoizes; the final min against width*4
     // happens at combine time (min is exact either way).
@@ -582,41 +378,34 @@ BatchEval::fuEntry(const CoreConfig &cfg)
     return fuTable_.back();
 }
 
-BatchEval::LimitsEntry
-BatchEval::buildLimits(const CoreConfig &cfg, double mrL1,
-                       uint32_t depWindow)
+const std::vector<double> &
+EvalContext::windowCp(uint32_t robSize)
 {
-    const Profile &p = ec_.profile();
-    const EvalContext::WindowStatics &ws = ec_.windowStatics();
+    for (auto &[k, v] : windowCps_)
+        if (k == robSize)
+            return v;
+    std::vector<double> cps;
+    cps.reserve(p_.windows.size());
+    for (const WindowProfile &w : p_.windows)
+        cps.push_back(windowChainLength(w.cp, p_.robSizes, robSize));
+    return windowCps_.emplace_back(robSize, std::move(cps)).second;
+}
+
+EvalContext::LimitsEntry
+EvalContext::buildLimits(const CoreConfig &cfg, Level level, double mrL1,
+                         uint32_t depWindow)
+{
+    const WindowStatics &ws = statics_;
     const PortsEntry &pe = portsEntry(cfg);
     const FuEntry &fe = fuEntry(cfg);
     const uint32_t w0 = depWindow > 0 ?
         std::min(depWindow, cfg.robSize) : cfg.robSize;
-    const std::vector<double> &cps = ec_.windowCp(w0);
-
-    using Level = ModelOptions::BaseLevel;
-    const Level level = opts_.baseLevel;
-    auto ablate = [level](DispatchLimits &lim) {
-        switch (level) {
-          case Level::Instructions:
-          case Level::MicroOps:
-            lim.dependences = lim.width;
-            lim.ports = lim.width;
-            lim.fus = lim.width;
-            break;
-          case Level::CriticalPath:
-            lim.ports = lim.width;
-            lim.fus = lim.width;
-            break;
-          case Level::Functional:
-            break;
-        }
-    };
+    const std::vector<double> &cps = windowCp(w0);
 
     LimitsEntry le;
-    le.windows.reserve(p.windows.size());
+    le.windows.reserve(p_.windows.size());
     const double w0d = static_cast<double>(w0);
-    for (size_t wi = 0; wi < p.windows.size(); ++wi) {
+    for (size_t wi = 0; wi < p_.windows.size(); ++wi) {
         double uopsW = ws.uops[wi];
         if (uopsW <= 0) {
             le.windows.push_back({});
@@ -632,7 +421,7 @@ BatchEval::buildLimits(const CoreConfig &cfg, double mrL1,
         double maxAct = pe.windowMaxAct[wi];
         lim.ports = maxAct > 0 ? uopsW / maxAct : lim.width;
         lim.fus = std::min(lim.width * 4, fe.windowMinRate[wi]);
-        ablate(lim);
+        applyBaseLevel(lim, level);
         le.windows.push_back(lim);
     }
 
@@ -656,15 +445,16 @@ BatchEval::buildLimits(const CoreConfig &cfg, double mrL1,
         g.ports = pe.globalMaxAct > 0 ? n / pe.globalMaxAct : g.width;
         g.fus = std::min(g.width * 4, fe.globalMinRate);
     }
-    ablate(g);
+    applyBaseLevel(g, level);
     le.global = g;
     return le;
 }
 
-const BatchEval::LimitsEntry &
-BatchEval::limits(const CoreConfig &cfg, double mrL1, uint32_t depWindow)
+const EvalContext::LimitsEntry &
+EvalContext::limits(const CoreConfig &cfg, Level level, double mrL1,
+                    uint32_t depWindow)
 {
-    buildLimitsKey(cfg, depWindow, std::bit_cast<uint64_t>(mrL1));
+    buildLimitsKey(cfg, level, depWindow, std::bit_cast<uint64_t>(mrL1));
     if (lastLimits_ && keyBuf_ == lastLimitsKey_)
         return *lastLimits_;
     const uint64_t h = hashWords(keyBuf_);
@@ -676,7 +466,7 @@ BatchEval::limits(const CoreConfig &cfg, double mrL1, uint32_t depWindow)
             return *lastLimits_;
         }
     }
-    LimitsEntry le = buildLimits(cfg, mrL1, depWindow);
+    LimitsEntry le = buildLimits(cfg, level, mrL1, depWindow);
     limitsTable_.emplace_back(keyBuf_, std::move(le));
     bucket.push_back(static_cast<uint32_t>(limitsTable_.size() - 1));
     lastLimitsKey_ = keyBuf_;
@@ -685,39 +475,42 @@ BatchEval::limits(const CoreConfig &cfg, double mrL1, uint32_t depWindow)
 }
 
 const MlpEstimate &
-BatchEval::mlpEstimate(const CoreConfig &cfg, uint32_t windowUops)
+EvalContext::mlpEstimate(const CoreConfig &cfg, const ModelOptions &opts,
+                         uint32_t windowUops)
 {
     const bool prefetchActive =
-        opts_.modelPrefetcher && cfg.prefetcherEnabled;
-    EvalContext::MlpKey key{};
-    key.mode = static_cast<uint8_t>(opts_.mlpMode);
-    key.mshrs = opts_.modelMshrs;
-    key.prefetcher = opts_.modelPrefetcher;
+        opts.modelPrefetcher && cfg.prefetcherEnabled;
+    MlpKey key{};
+    key.mode = static_cast<uint8_t>(opts.mlpMode);
+    key.mshrs = opts.modelMshrs;
+    key.prefetcher = opts.modelPrefetcher;
     key.l3Lines = cfg.l3.numLines();
     key.rob = cfg.robSize;
     key.mshrCount = cfg.mshrs;
+    // Width, memory latency and the prefetch-table size are only read on
+    // the prefetcher path (thesis Eq 4.13 timeliness); keying them at 0
+    // otherwise lets e.g. a pure width sweep share one entry.
     key.prefetcherEntries = prefetchActive ? cfg.prefetcherEntries : 0;
     key.width = prefetchActive ? cfg.dispatchWidth : 0;
     key.memLatency = prefetchActive ? cfg.memLatency : 0;
     key.windowUops = windowUops;
-    key.coldInjectBits = std::bit_cast<uint64_t>(opts_.cal.coldInject);
+    key.coldInjectBits = std::bit_cast<uint64_t>(opts.cal.coldInject);
 
     for (MlpSlot &s : mlpTable_)
         if (s.key == key)
             return s.est;
 
-    MlpOptions mo{opts_.modelMshrs, opts_.modelPrefetcher};
+    MlpOptions mo{opts.modelMshrs, opts.modelPrefetcher};
     mo.windowUops = windowUops;
-    mo.coldInject = opts_.cal.coldInject;
+    mo.coldInject = opts.cal.coldInject;
     MlpEstimate est;
-    switch (opts_.mlpMode) {
+    switch (opts.mlpMode) {
       case ModelOptions::MlpMode::ColdMiss:
-        est = coldMissMlp(ec_.profile(), cfg, ec_.stats(), mo);
+        est = coldMissMlp(p_, cfg, ss_, mo);
         break;
       case ModelOptions::MlpMode::Stride:
         if (!strideCache_)
-            strideCache_ = std::make_unique<StrideMlpCache>(
-                ec_.profile(), ec_.stats());
+            strideCache_ = std::make_unique<StrideMlpCache>(p_, ss_);
         est = strideCache_->estimate(cfg, mo);
         break;
       case ModelOptions::MlpMode::None:
@@ -729,50 +522,37 @@ BatchEval::mlpEstimate(const CoreConfig &cfg, uint32_t windowUops)
 }
 
 const std::vector<double> &
-BatchEval::opRatios(double lines)
+EvalContext::opRatios(double lines)
 {
     const uint64_t bits = std::bit_cast<uint64_t>(lines);
     for (auto &[k, v] : opRatioTable_)
         if (k == bits)
             return v;
-    const Profile &p = ec_.profile();
-    const StatStack &ss = ec_.stats();
-    std::vector<double> v(p.memOps.size(), 0.0);
-    for (size_t i = 0; i < p.memOps.size(); ++i)
-        if (!p.memOps[i].isStore)
-            v[i] = ss.missRatio(p.memOps[i].reuse, lines);
+    std::vector<double> v(p_.memOps.size(), 0.0);
+    for (size_t i = 0; i < p_.memOps.size(); ++i)
+        if (!p_.memOps[i].isStore)
+            v[i] = ss_.missRatio(p_.memOps[i].reuse, lines);
     return opRatioTable_.emplace_back(bits, std::move(v)).second;
 }
 
 const EvalContext::ChainWeights &
-BatchEval::chainWeights(double l2Lines, double l3Lines)
+EvalContext::chainWeights(double l2Lines, double l3Lines)
 {
-    EvalContext::ChainKey key{std::bit_cast<uint64_t>(l2Lines),
-                              std::bit_cast<uint64_t>(l3Lines)};
+    ChainKey key{std::bit_cast<uint64_t>(l2Lines),
+                 std::bit_cast<uint64_t>(l3Lines)};
     for (auto &[k, v] : chainTable_)
         if (k == key)
             return v;
 
-    const Profile &p = ec_.profile();
-    if (!depClampBuilt_) {
-        depClamp_.reserve(p.memOps.size());
-        for (const StaticMemProfile &sp : p.memOps)
-            depClamp_.push_back(
-                std::clamp(sp.avgLoadDepth() - 1.0, 0.0, 1.0));
-        for (const StaticMemProfile &sp : p.memOps)
-            if (!sp.isStore)
-                loadsSeen_ += sp.count;
-        depClampBuilt_ = true;
-    }
     // Combine per-lines ratio vectors: one missRatio pass per distinct
-    // cache size instead of two per (L2, L3) pair. Same arithmetic in
-    // the same order as EvalContext::chainWeights.
+    // cache size instead of two per (L2, L3) pair. An LLC hit on a load
+    // that depends on other loads cannot be overlapped, so it serializes.
     const std::vector<double> &r2 = opRatios(l2Lines);
     const std::vector<double> &r3 = opRatios(l3Lines);
-    EvalContext::ChainWeights cw;
-    cw.opWeight.assign(p.memOps.size(), 0.0);
-    for (size_t i = 0; i < p.memOps.size(); ++i) {
-        const StaticMemProfile &sp = p.memOps[i];
+    ChainWeights cw;
+    cw.opWeight.assign(p_.memOps.size(), 0.0);
+    for (size_t i = 0; i < p_.memOps.size(); ++i) {
+        const StaticMemProfile &sp = p_.memOps[i];
         if (sp.isStore)
             continue;
         double hit3 = std::max(0.0, r2[i] - r3[i]);
@@ -780,12 +560,12 @@ BatchEval::chainWeights(double l2Lines, double l3Lines)
         cw.globalSerialHits += cw.opWeight[i] * sp.count;
     }
     if (loadsSeen_ > 0)
-        cw.globalSerialHits /= loadsSeen_;
+        cw.globalSerialHits /= loadsSeen_; // per load
 
-    cw.windowSerial.assign(p.windows.size(), 0.0);
-    for (size_t wi = 0; wi < p.windows.size(); ++wi) {
+    cw.windowSerial.assign(p_.windows.size(), 0.0);
+    for (size_t wi = 0; wi < p_.windows.size(); ++wi) {
         double serialW = 0;
-        for (const auto &[opIdx, cnt] : p.windows[wi].memCounts)
+        for (const auto &[opIdx, cnt] : p_.windows[wi].memCounts)
             serialW += cw.opWeight[opIdx] * cnt;
         cw.windowSerial[wi] = serialW;
     }
@@ -793,8 +573,8 @@ BatchEval::chainWeights(double l2Lines, double l3Lines)
 }
 
 double
-BatchEval::fastResolutionTime(const CoreConfig &cfg, double avgLat,
-                              double uopsBetweenMispredicts) const
+EvalContext::resolutionTime(const CoreConfig &cfg, double avgLat,
+                            double uopsBetweenMispredicts) const
 {
     // branchResolutionTime (thesis Alg 3.2) verbatim, with the chain
     // interpolations replayed from the precomputed bracket fits.
@@ -819,24 +599,23 @@ BatchEval::fastResolutionTime(const CoreConfig &cfg, double avgLat,
 }
 
 double
-BatchEval::branchResolution(const CoreConfig &cfg, double avgLat,
-                            double uopsBetweenMispredicts)
+EvalContext::branchResolution(const CoreConfig &cfg, double avgLat,
+                              double uopsBetweenMispredicts)
 {
-    EvalContext::ResolutionKey key{
-        cfg.dispatchWidth, cfg.robSize, std::bit_cast<uint64_t>(avgLat),
-        std::bit_cast<uint64_t>(uopsBetweenMispredicts)};
+    ResolutionKey key{cfg.dispatchWidth, cfg.robSize,
+                      std::bit_cast<uint64_t>(avgLat),
+                      std::bit_cast<uint64_t>(uopsBetweenMispredicts)};
     if (lastResValid_ && key == lastResKey_)
         return lastResValue_;
-    for (const auto &[k, v] : resTable_) {
-        if (k == key) {
-            lastResKey_ = key;
-            lastResValue_ = v;
-            lastResValid_ = true;
-            return v;
-        }
+    double v = 0;
+    auto it = std::find_if(resTable_.begin(), resTable_.end(),
+                           [&](const auto &e) { return e.first == key; });
+    if (it != resTable_.end()) {
+        v = it->second;
+    } else {
+        v = resolutionTime(cfg, avgLat, uopsBetweenMispredicts);
+        resTable_.emplace_back(key, v);
     }
-    double v = fastResolutionTime(cfg, avgLat, uopsBetweenMispredicts);
-    resTable_.emplace_back(key, v);
     lastResKey_ = key;
     lastResValue_ = v;
     lastResValid_ = true;
@@ -844,65 +623,39 @@ BatchEval::branchResolution(const CoreConfig &cfg, double avgLat,
 }
 
 double
-BatchEval::globalCp(uint32_t depWindow)
+EvalContext::globalCp(uint32_t depWindow)
 {
     for (const auto &[k, v] : globalCps_)
         if (k == depWindow)
             return v;
-    double v = ec_.profile().chains.cp(depWindow);
+    double v = p_.chains.cp(depWindow);
     globalCps_.emplace_back(depWindow, v);
     return v;
 }
 
-BatchEval::BranchSlot &
-BatchEval::branchSlot(const BranchMissModel &bm)
+const EvalContext::BranchRates &
+EvalContext::branchRates(const BranchMissModel &bm)
 {
+    // Keyed on the coefficient values, not the model's address: callers
+    // pass fresh ModelOptions copies, whose models may reuse an address
+    // with different coefficients.
+    const BranchKey key{std::bit_cast<uint64_t>(bm.slope),
+                        std::bit_cast<uint64_t>(bm.intercept),
+                        std::bit_cast<uint64_t>(bm.knee),
+                        std::bit_cast<uint64_t>(bm.kneeSlope)};
     for (BranchSlot &s : branchTable_)
-        if (s.bm == &bm)
-            return s;
-    const Profile &p = ec_.profile();
-    const EvalContext::WindowStatics &ws = ec_.windowStatics();
+        if (s.key == key)
+            return s.rates;
+    const WindowStatics &ws = statics_;
     BranchSlot s;
-    s.bm = &bm;
-    s.globalRate = bm.missRate(ws.globalEntropy);
-    s.windowMisses.reserve(p.windows.size());
-    for (size_t wi = 0; wi < p.windows.size(); ++wi)
-        s.windowMisses.push_back(
-            bm.missRate(ws.entropyEff[wi]) * p.windows[wi].branches);
+    s.key = key;
+    s.rates.global = bm.missRate(ws.globalEntropy);
+    s.rates.windowMisses.reserve(p_.windows.size());
+    for (size_t wi = 0; wi < p_.windows.size(); ++wi)
+        s.rates.windowMisses.push_back(
+            bm.missRate(ws.entropyEff[wi]) * p_.windows[wi].branches);
     branchTable_.push_back(std::move(s));
-    return branchTable_.back();
-}
-
-const std::vector<double> &
-BatchEval::windowBranchMisses(const BranchMissModel &bm)
-{
-    return branchSlot(bm).windowMisses;
-}
-
-double
-BatchEval::globalMissRate(const BranchMissModel &bm)
-{
-    return branchSlot(bm).globalRate;
-}
-
-void
-BatchEval::evaluate(const CoreConfig *cfgs, size_t n, Output *out,
-                    const PowerParams *power)
-{
-    for (size_t i = 0; i < n; ++i) {
-        evaluateModelInto(ec_, cfgs[i], opts_, scratch_, this);
-        out[i].modelCpi = scratch_.cpiPerUop();
-        out[i].modelWatts = power ?
-            computePower(scratch_.activity, cfgs[i], power[i]).total() :
-            computePower(scratch_.activity, cfgs[i]).total();
-    }
-}
-
-const ModelResult &
-BatchEval::evaluateOne(const CoreConfig &cfg)
-{
-    evaluateModelInto(ec_, cfg, opts_, scratch_, this);
-    return scratch_;
+    return branchTable_.back().rates;
 }
 
 } // namespace mipp

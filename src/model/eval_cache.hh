@@ -1,48 +1,49 @@
 /**
  * @file
- * Per-workload evaluation cache: the profile-once / evaluate-many contract.
+ * Per-workload evaluation engine: the profile-once / evaluate-many contract.
  *
  * The paper's central economics (thesis Ch. 6): a micro-architecture
  * independent profile is collected *once* per workload and then amortized
  * over an entire design-space exploration of thousands to millions of
- * design points. The plain `evaluateModel(profile, cfg)` entry point is a
- * pure function and rebuilds every intermediate from scratch on each call —
- * two StatStack objects, per-static-op chain weights, the branch miss
- * model, the virtual-load-stream MLP walk. Almost all of that work depends
- * only on the profile plus a *few discrete levels* of the configuration
- * (cache sizes, ROB sizes), not on the full design point, so across a
- * sweep it is recomputed hundreds of times with identical inputs.
+ * design points. Almost all of an evaluation's work depends only on the
+ * profile plus a *few discrete levels* of the configuration (cache sizes,
+ * ROB sizes, the port layout), not on the full design point, so across a
+ * sweep it would be recomputed hundreds of times with identical inputs.
  *
- * An EvalContext pins one Profile and memoizes those intermediates:
+ * An EvalContext pins one Profile and owns the whole evaluation state for
+ * it: the StatStack pair, the configuration-independent per-window
+ * statistics, and one set of memo tables —
  *
- *  - the StatStack pair (combined data stream + instruction stream),
- *    built once per workload instead of once per design point;
- *  - `missRatio(histogram, cacheLines)` results, keyed by the histogram
- *    identity and the exact cache-size value — a design space has only a
- *    handful of distinct cache levels;
- *  - per-static-op serialized-LLC-hit chain weights and their per-window
- *    sums, keyed by the (L2, L3) size pair;
- *  - per-window critical-path interpolations, keyed by ROB size;
- *  - branch resolution times, keyed by the exact (width, ROB, latency,
- *    interval) inputs;
- *  - MLP estimates (the stride model's virtual-load-stream walk is the
- *    single most expensive part of an evaluation), keyed by the subset of
- *    configuration fields the MLP models actually read;
- *  - pretrained BranchMissModel instances, interned per predictor kind.
+ *  - the nine miss ratios of a cache hierarchy, keyed on its line counts;
+ *  - global + per-window dispatch limits, keyed on every input of the
+ *    computation (ablation level, width, ROB, truncated window, L1D miss
+ *    ratio, latencies, issue ports, FU pools), with the port-scheduling
+ *    walk and the FU rate fold shared across keys in their own sub-memos;
+ *  - MLP estimates, keyed on exactly the configuration fields and options
+ *    the MLP models read; the stride model replays only the miss walk
+ *    through a StrideMlpCache;
+ *  - serialized-LLC-hit chain weights per (L2, L3) size pair, combined
+ *    from per-cache-size miss-ratio vectors;
+ *  - branch resolution times (thesis Alg 3.2) with the chain
+ *    interpolations replayed from precomputed bracket fits;
+ *  - branch miss rates, keyed on the values of the BranchMissModel's
+ *    coefficients.
  *
- * Every memo key captures *all* inputs of the memoized computation, so a
- * cache hit returns the exact double the uncached computation would have
- * produced: `evaluateModel(ctx, cfg, mopts)` is bitwise identical to
- * `evaluateModel(ctx.profile(), cfg, mopts)` (the compat wrapper simply
- * builds a throwaway context). tests/test_eval_cache.cc proves this over
- * a grid of configurations and predictors.
+ * Every table keys on exactly the inputs it reads — never on pinned
+ * options or object addresses — so one context serves any ModelOptions,
+ * and a hit returns the exact double the plain function would have
+ * produced. `evaluateModel(ctx, cfg, opts)` therefore equals
+ * `evaluateModel(ctx.profile(), cfg, opts)` (which builds a throwaway
+ * context) bit for bit, however warm @p ctx is; tests/test_eval_cache.cc
+ * checks each memo against the plain function it replays and a cold
+ * context against a warm one.
  *
  * Contract and lifetime rules:
  *  - The Profile must outlive the EvalContext and must not be mutated
  *    while the context exists (histograms are referenced, not copied).
  *  - An EvalContext is NOT thread-safe; use one instance per thread.
- *    dse::sweep creates one per (workload, chunk) on the worker that
- *    processes the chunk.
+ *    Sweeps build one per (workload, shard), or borrow a warm one from a
+ *    dse::ModelEvalPool.
  *  - Memory is bounded by the number of *distinct* levels queried, not by
  *    the number of design points evaluated.
  */
@@ -50,6 +51,7 @@
 #ifndef MIPP_MODEL_EVAL_CACHE_HH
 #define MIPP_MODEL_EVAL_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -61,8 +63,6 @@
 
 namespace mipp {
 
-struct PowerParams;
-
 /**
  * Pretrained BranchMissModel interned per predictor kind: one immutable
  * process-wide instance per kind instead of a fresh construction per
@@ -72,9 +72,7 @@ const BranchMissModel &internedBranchModel(BranchPredictorKind kind);
 
 /**
  * Average uop latency for a type-fraction mix, with the load latency
- * blended over the L1D hit/miss split (thesis §3.3). Single source of
- * truth for both the per-call evaluation path and the memoized
- * per-window dispatch limits.
+ * blended over the L1D hit/miss split (thesis §3.3).
  */
 double mixAvgLatency(const std::array<double, kNumUopTypes> &frac,
                      const CoreConfig &cfg, double mrL1);
@@ -87,12 +85,20 @@ DispatchLimits ablatedLimits(
     double avgLat, const CoreConfig &cfg, ModelOptions::BaseLevel level,
     double window = 0);
 
-/** Memoized per-workload evaluation state (see file comment). */
+/** Critical-path length of one profiled window interpolated to @p rob
+ *  from its per-ROB-size samples (thesis Eq 5.2). */
+double windowChainLength(const std::vector<float> &cp,
+                         const std::vector<uint32_t> &robSizes, double rob);
+
+class StrideMlpCache;
+
+/** Memoized per-workload evaluation engine (see file comment). */
 class EvalContext
 {
   public:
     /** @param p profile to pin; must outlive the context, unmutated. */
     explicit EvalContext(const Profile &p);
+    ~EvalContext();
 
     EvalContext(const EvalContext &) = delete;
     EvalContext &operator=(const EvalContext &) = delete;
@@ -104,68 +110,11 @@ class EvalContext
     /** StatStack over the instruction-fetch reuse stream. */
     const StatStack &instStats() const { return ssI_; }
 
-    /** Memoized stats().missRatio(h, cacheLines). @p h must live inside
-     *  the pinned profile (identity is part of the memo key). */
-    double dataMissRatio(const LogHistogram &h, double cacheLines);
-
-    /** Memoized instStats().missRatio(h, cacheLines). */
-    double instMissRatio(const LogHistogram &h, double cacheLines);
-
-    /**
-     * Serialized-LLC-hit chain weights for one (L2, L3) size pair
-     * (thesis §4.8 extension): per static op, its LLC-hit probability
-     * times its load-dependence depth clamp; plus the per-window weighted
-     * sums and the global per-load expectation the model consumes.
-     */
-    struct ChainWeights {
-        /** Per Profile::memOps entry (stores stay 0). */
-        std::vector<double> opWeight;
-        /** Per Profile::windows entry: sum of opWeight * window count. */
-        std::vector<double> windowSerial;
-        /** Expected chained LLC hits per load, whole program. */
-        double globalSerialHits = 0;
-    };
-    const ChainWeights &chainWeights(double l2Lines, double l3Lines);
-
-    /** Per-window critical-path lengths interpolated to @p robSize
-     *  (thesis Eq 5.2), one entry per Profile::windows element. */
-    const std::vector<double> &windowCp(uint32_t robSize);
-
-    /**
-     * Per-window dispatch limits (Eq 3.10 with the ablation level
-     * applied): the port-scheduling walk runs once per distinct
-     * (pipeline, latency, L1D-behaviour) key instead of once per design
-     * point. The key holds every input of the computation verbatim —
-     * ports, FU pools, the latency table, ROB, width, ablation level and
-     * the L1D miss ratio entering the average latency — so hits are
-     * bitwise-exact replays. Entries are one per Profile::windows
-     * element (windows without uops get default limits).
-     */
-    const std::vector<DispatchLimits> &
-    windowLimits(const CoreConfig &cfg, ModelOptions::BaseLevel level,
-                 double mrL1, uint32_t depWindow);
-
-    /** Memoized branchResolutionTime (thesis Alg 3.2). */
-    double branchResolution(const CoreConfig &cfg, double avgLat,
-                            double uopsBetweenMispredicts);
-
-    /**
-     * Memoized MLP estimate (thesis Ch. 4). The key covers exactly the
-     * configuration fields the selected MLP model reads, so e.g. a
-     * pipeline-width sweep with the prefetcher disabled hits a single
-     * entry. @p windowUops is the mispredict-interval-truncated overlap
-     * window (0 = full ROB; ModelCalibration::mlpWindowFrac).
-     */
-    const MlpEstimate &mlpEstimate(const CoreConfig &cfg,
-                                   const ModelOptions &opts,
-                                   uint32_t windowUops);
-
     /**
      * Configuration-independent per-window statistics hoisted out of the
      * evaluation loop (structure-of-arrays over Profile::windows). Every
      * value is exactly the double the per-point computation would have
-     * produced — these are pure functions of the pinned profile, computed
-     * once and shared by the scalar and batched paths alike.
+     * produced — pure functions of the pinned profile, computed once.
      */
     struct WindowStatics {
         std::vector<double> uops;        ///< w.uops() per window
@@ -183,116 +132,15 @@ class EvalContext
         double loads = 0, stores = 0, iAccesses = 0;
         double globalBranches = 0, globalEntropy = 0;
     };
-    const WindowStatics &windowStatics();
+    const WindowStatics &windowStatics() const { return statics_; }
 
-  private:
-    friend class BatchEval;
-    struct RatioEntry {
-        const LogHistogram *h;
-        uint64_t linesBits;  ///< bit pattern of the double cacheLines
-        double value;
-    };
-    double memoRatio(std::vector<RatioEntry> &memo, const StatStack &ss,
-                     const LogHistogram &h, double cacheLines);
+    // --- memoized model components -------------------------------------
+    // Each is a bitwise-exact replay of the plain function named in its
+    // comment.
 
-    struct ChainKey {
-        uint64_t l2Bits, l3Bits;
-        bool operator==(const ChainKey &) const = default;
-    };
-    struct ResolutionKey {
-        uint32_t width, rob;
-        uint64_t avgLatBits, niBits;
-        bool operator==(const ResolutionKey &) const = default;
-    };
-    struct MlpKey {
-        uint8_t mode;  ///< ModelOptions::MlpMode
-        bool mshrs, prefetcher;
-        uint32_t l3Lines, rob, mshrCount;
-        /** Zero unless the prefetcher path is active (the only reader
-         *  of width / memLatency / table size in the MLP models). */
-        uint32_t prefetcherEntries, width, memLatency;
-        /** Truncated overlap window (0 = full ROB) and the cold-miss
-         *  shortfall injection fraction (bit pattern). */
-        uint32_t windowUops;
-        uint64_t coldInjectBits;
-        bool operator==(const MlpKey &) const = default;
-    };
-
-    const Profile &p_;
-    StatStack ss_;
-    StatStack ssI_;
-
-    std::vector<RatioEntry> dataRatios_, instRatios_;
-    // Deques: grow-only memo tables handing out stable references.
-    std::deque<std::pair<ChainKey, ChainWeights>> chains_;
-    std::deque<std::pair<uint32_t, std::vector<double>>> windowCps_;
-    std::vector<std::pair<ResolutionKey, double>> resolutions_;
-    std::deque<std::pair<MlpKey, MlpEstimate>> mlps_;
-    /** Limits keyed by the full input material (exact compare, no
-     *  hashing: a silent collision would silently corrupt results). */
-    std::deque<std::pair<std::vector<uint64_t>, std::vector<DispatchLimits>>>
-        windowLimits_;
-    WindowStatics statics_;
-    bool staticsBuilt_ = false;
-};
-
-class StrideMlpCache;
-
-/**
- * Batched structure-of-arrays evaluator over one pinned (EvalContext,
- * ModelOptions) pair — the hot engine behind SweepMode::ModelOnlyPareto.
- *
- * An EvalContext alone already amortizes profile-level work, but its memo
- * lookups were designed for correctness-first auditability: per-point key
- * vectors rebuilt and linearly scanned on every evaluation, and per-point
- * reconstruction of the stride-MLP virtual load stream per distinct key.
- * BatchEval pins the options up front and layers batch-grade machinery on
- * top: hashed memo lookups with exact-key confirmation (a hash bucket
- * narrows the scan; the full key compare still decides, so collisions
- * cannot corrupt results), a StrideMlpCache that rebuilds only the miss
- * walk instead of the whole load stream, port/FU sub-memos shared across
- * dispatch-limit keys, chain weights combined from per-cache-size miss
- * ratio vectors, and per-branch-model window miss counts.
- *
- * Everything here is a bitwise-exact replay of the scalar path:
- * evaluateOne(cfg) equals evaluateModel(ctx, cfg, opts) field for field
- * (tests/test_eval_cache.cc proves it over the thesis grid). The class is
- * not thread-safe; use one instance per worker, like EvalContext.
- */
-class BatchEval
-{
-  public:
-    BatchEval(EvalContext &ec, const ModelOptions &opts);
-    ~BatchEval();
-
-    BatchEval(const BatchEval &) = delete;
-    BatchEval &operator=(const BatchEval &) = delete;
-
-    /** Sweep-facing result of one design point. */
-    struct Output {
-        double modelCpi = 0;
-        double modelWatts = 0;
-    };
-
-    /**
-     * Evaluate @p n configurations into @p out. When @p power is non-null
-     * it must hold n precomputed powerParams(cfgs[i]) entries (sharing
-     * them across workloads skips the voltage/leakage pow() chain);
-     * otherwise the power parameters are derived per point.
-     */
-    void evaluate(const CoreConfig *cfgs, size_t n, Output *out,
-                  const PowerParams *power = nullptr);
-
-    /** Full single-point evaluation (parity tests / inspection). The
-     *  reference stays valid until the next evaluate*/
-    const ModelResult &evaluateOne(const CoreConfig &cfg);
-
-    EvalContext &context() { return ec_; }
-    const ModelOptions &options() const { return opts_; }
-
-    // --- fast memo lookups consumed by the shared evaluation core ---
-
-    /** The nine miss ratios of a design point's cache hierarchy. */
+    /** The nine miss ratios of a design point's cache hierarchy:
+     *  StatStack::missRatio of each stream at each level. The reference
+     *  stays valid until the next ratios() call. */
     struct Ratios {
         double l1, l2, l3;  ///< data-load stream
         double s1, s2, s3;  ///< store stream
@@ -300,34 +148,83 @@ class BatchEval
     };
     const Ratios &ratios(const CoreConfig &cfg);
 
-    /** Global + per-window dispatch limits under one memo key. */
+    /**
+     * ablatedLimits at @p level for the whole program (chain length
+     * profile().chains.cp(depWindow)) and per profiled window (chain
+     * length windowChainLength at min(depWindow, ROB); windows without
+     * uops get default limits), with the average latency mixAvgLatency
+     * at the L1D miss ratio @p mrL1.
+     */
     struct LimitsEntry {
         DispatchLimits global;
         std::vector<DispatchLimits> windows;
     };
-    const LimitsEntry &limits(const CoreConfig &cfg, double mrL1,
+    const LimitsEntry &limits(const CoreConfig &cfg,
+                              ModelOptions::BaseLevel level, double mrL1,
                               uint32_t depWindow);
 
+    /**
+     * strideMlp / coldMissMlp (per opts.mlpMode; MLP 1 for None) with
+     * the options' MSHR, prefetcher and cold-injection settings and the
+     * truncated overlap window @p windowUops (0 = full ROB).
+     */
     const MlpEstimate &mlpEstimate(const CoreConfig &cfg,
+                                   const ModelOptions &opts,
                                    uint32_t windowUops);
 
-    const EvalContext::ChainWeights &chainWeights(double l2Lines,
-                                                  double l3Lines);
+    /**
+     * Serialized-LLC-hit chain weights for one (L2, L3) size pair
+     * (thesis §4.8 extension): per static load, its LLC-hit probability
+     * times its load-dependence depth clamp; plus the per-window weighted
+     * sums and the global per-load expectation the model consumes.
+     */
+    struct ChainWeights {
+        /** Per Profile::memOps entry (stores stay 0). */
+        std::vector<double> opWeight;
+        /** Per Profile::windows entry: sum of opWeight * window count. */
+        std::vector<double> windowSerial;
+        /** Expected chained LLC hits per load, whole program. */
+        double globalSerialHits = 0;
+    };
+    const ChainWeights &chainWeights(double l2Lines, double l3Lines);
 
-    /** Memoized branch resolution time with a last-key shortcut. */
+    /** branchResolutionTime(profile().chains, cfg, avgLat, ...). */
     double branchResolution(const CoreConfig &cfg, double avgLat,
                             double uopsBetweenMispredicts);
 
-    /** Memoized profile().chains.cp(depWindow). */
+    /** profile().chains.cp(depWindow). */
     double globalCp(uint32_t depWindow);
 
-    /** bm.missRate(entropyEff[wi]) * branches per window, memoized per
-     *  interned branch model (identity key: models are pinned). */
-    const std::vector<double> &windowBranchMisses(const BranchMissModel &bm);
-    /** Memoized bm.missRate(profile().branch.entropy()). */
-    double globalMissRate(const BranchMissModel &bm);
+    /** bm.missRate at the global entropy, and bm.missRate(entropyEff)
+     *  times the branch count per window. */
+    struct BranchRates {
+        double global = 0;
+        std::vector<double> windowMisses;
+    };
+    const BranchRates &branchRates(const BranchMissModel &bm);
 
   private:
+    /**
+     * Bitwise-exact replay of DependenceChains::interpolate with the
+     * per-bracket fit constants precomputed: a and b are pure functions
+     * of the profiled nodes, leaving one log() per evaluation. Feeds the
+     * branch-resolution leaky-bucket walk, whose inner loop otherwise
+     * dominates cold resolution lookups.
+     */
+    struct ChainInterp {
+        bool empty = true;
+        bool single = false;
+        double singleValue = 0;
+        std::vector<double> hiSizes;  ///< robSizes[hi] per bracket
+        struct Seg {
+            double a = 0, b = 0;
+            bool zero = false;  ///< y0 == 0 && y1 == 0 fallback
+        };
+        std::vector<Seg> segs;
+
+        void build(const DependenceChains &chains, bool useAbp);
+        double eval(double rob) const;
+    };
     /** Miss ratios keyed on the packed (L1D, L2, L3, L1I) line counts. */
     struct RatioSlot {
         uint64_t k0, k1;
@@ -348,57 +245,67 @@ class BatchEval
         double globalMinRate = 0;
         std::vector<double> windowMinRate;
     };
+    struct MlpKey {
+        uint8_t mode;  ///< ModelOptions::MlpMode
+        bool mshrs, prefetcher;
+        uint32_t l3Lines, rob, mshrCount;
+        /** Zero unless the prefetcher path is active (the only reader
+         *  of width / memLatency / table size in the MLP models). */
+        uint32_t prefetcherEntries, width, memLatency;
+        /** Truncated overlap window (0 = full ROB) and the cold-miss
+         *  shortfall injection fraction (bit pattern). */
+        uint32_t windowUops;
+        uint64_t coldInjectBits;
+        bool operator==(const MlpKey &) const = default;
+    };
     struct MlpSlot {
-        EvalContext::MlpKey key;
+        MlpKey key;
         MlpEstimate est;
     };
-    /** Per-branch-model derived rates (identity keyed: models are either
-     *  process-interned or pinned inside opts_). */
+    struct ChainKey {
+        uint64_t l2Bits, l3Bits;
+        bool operator==(const ChainKey &) const = default;
+    };
+    struct ResolutionKey {
+        uint32_t width, rob;
+        uint64_t avgLatBits, niBits;
+        bool operator==(const ResolutionKey &) const = default;
+    };
+    /** Bit patterns of slope, intercept, knee and kneeSlope — everything
+     *  BranchMissModel::missRate reads. */
+    using BranchKey = std::array<uint64_t, 4>;
     struct BranchSlot {
-        const BranchMissModel *bm;
-        double globalRate = 0;
-        std::vector<double> windowMisses;
-    };
-    /**
-     * Bitwise-exact replay of DependenceChains::interpolate with the
-     * per-bracket fit constants precomputed: a and b are pure functions
-     * of the profiled nodes, leaving one log() per evaluation. Feeds the
-     * branch-resolution leaky-bucket walk (thesis Alg 3.2), whose inner
-     * loop otherwise dominates cold resolution lookups.
-     */
-    struct ChainInterp {
-        bool empty = true;
-        bool single = false;
-        double singleValue = 0;
-        std::vector<double> hiSizes;  ///< robSizes[hi] per bracket
-        struct Seg {
-            double a = 0, b = 0;
-            bool zero = false;  ///< y0 == 0 && y1 == 0 fallback
-        };
-        std::vector<Seg> segs;
-
-        void build(const DependenceChains &chains, bool useAbp);
-        double eval(double rob) const;
+        BranchKey key;
+        BranchRates rates;
     };
 
-    void buildLimitsKey(const CoreConfig &cfg, uint32_t depWindow,
-                        uint64_t mrL1Bits);
-    LimitsEntry buildLimits(const CoreConfig &cfg, double mrL1,
+    void buildLimitsKey(const CoreConfig &cfg, ModelOptions::BaseLevel level,
+                        uint32_t depWindow, uint64_t mrL1Bits);
+    LimitsEntry buildLimits(const CoreConfig &cfg,
+                            ModelOptions::BaseLevel level, double mrL1,
                             uint32_t depWindow);
     const PortsEntry &portsEntry(const CoreConfig &cfg);
     const FuEntry &fuEntry(const CoreConfig &cfg);
+    const std::vector<double> &windowCp(uint32_t robSize);
     const std::vector<double> &opRatios(double lines);
-    BranchSlot &branchSlot(const BranchMissModel &bm);
-    double fastResolutionTime(const CoreConfig &cfg, double avgLat,
-                              double uopsBetweenMispredicts) const;
+    double resolutionTime(const CoreConfig &cfg, double avgLat,
+                          double uopsBetweenMispredicts) const;
 
-    EvalContext &ec_;
-    ModelOptions opts_;
-    ModelResult scratch_;
-
+    const Profile &p_;
+    StatStack ss_;
+    StatStack ssI_;
+    WindowStatics statics_;
+    ChainInterp cpInterp_, abpInterp_;
+    std::vector<double> depClamp_;  ///< per static op, profile-only
+    double loadsSeen_ = 0;
     std::unique_ptr<StrideMlpCache> strideCache_;
 
+    // A vector for the per-point ratio scan; the deques are grow-only
+    // memo tables handing out stable references.
     std::vector<RatioSlot> ratioTable_;
+    /** Limits keyed by the full input material; the hash bucket only
+     *  narrows the scan, an exact key compare still decides, so a
+     *  collision cannot corrupt results. */
     std::deque<std::pair<std::vector<uint64_t>, LimitsEntry>> limitsTable_;
     std::unordered_map<uint64_t, std::vector<uint32_t>> limitsBuckets_;
     std::vector<uint64_t> keyBuf_;
@@ -406,41 +313,34 @@ class BatchEval
     std::vector<uint64_t> lastLimitsKey_;
     std::deque<PortsEntry> portsTable_;
     std::deque<FuEntry> fuTable_;
+    std::deque<std::pair<uint32_t, std::vector<double>>> windowCps_;
     std::deque<MlpSlot> mlpTable_;
-    std::deque<std::pair<EvalContext::ChainKey, EvalContext::ChainWeights>>
-        chainTable_;
+    std::deque<std::pair<ChainKey, ChainWeights>> chainTable_;
     /** Per-(cache lines) miss ratio across static ops, load ops only. */
     std::deque<std::pair<uint64_t, std::vector<double>>> opRatioTable_;
-    std::vector<double> depClamp_;  ///< per static op, profile-only
-    double loadsSeen_ = 0;
-    bool depClampBuilt_ = false;
     std::vector<std::pair<uint32_t, double>> globalCps_;
     std::deque<BranchSlot> branchTable_;
-    ChainInterp cpInterp_, abpInterp_;
-    std::vector<std::pair<EvalContext::ResolutionKey, double>> resTable_;
-    EvalContext::ResolutionKey lastResKey_{};
+    std::vector<std::pair<ResolutionKey, double>> resTable_;
+    ResolutionKey lastResKey_{};
     double lastResValue_ = 0;
     bool lastResValid_ = false;
 };
 
 /**
- * Evaluate the interval model through a memoized per-workload context.
- * Bitwise identical to evaluateModel(ctx.profile(), cfg, opts); the
- * repeated-evaluation cost across a design-space sweep drops by the
- * memo hit rate (see bench/bench_dse_sweep.cc).
+ * Evaluate the interval model through a per-workload engine. Bitwise
+ * identical to evaluateModel(ctx.profile(), cfg, opts); the repeated-
+ * evaluation cost across a design-space sweep drops by the memo hit rate
+ * (see bench/bench_dse_sweep.cc).
  */
 ModelResult evaluateModel(EvalContext &ctx, const CoreConfig &cfg,
                           const ModelOptions &opts = {});
 
 /**
- * Shared evaluation core behind evaluateModel and BatchEval: fills @p res
- * in place (clearing reused buffers) so batch loops can recycle one
- * ModelResult. When @p fast is non-null its hashed memos replace the
- * EvalContext lookups; the values are bitwise identical either way.
+ * evaluateModel filling @p res in place (clearing reused buffers), so
+ * batch loops can recycle one ModelResult.
  */
 void evaluateModelInto(EvalContext &ctx, const CoreConfig &cfg,
-                       const ModelOptions &opts, ModelResult &res,
-                       BatchEval *fast = nullptr);
+                       const ModelOptions &opts, ModelResult &res);
 
 } // namespace mipp
 

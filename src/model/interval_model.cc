@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "model/eval_cache.hh"
-#include "statstack/statstack.hh"
 
 namespace mipp {
 
@@ -20,8 +19,6 @@ struct Scratch {
     const Profile &p;
     const CoreConfig &cfg;
     const ModelOptions &opts;
-    const StatStack &ss;
-    const StatStack &ssI;
 
     double mrL1 = 0, mrL2 = 0, mrL3 = 0;       // load miss ratios
     double mrS1 = 0, mrS2 = 0, mrS3 = 0;       // store miss ratios
@@ -59,8 +56,7 @@ struct Scratch {
 
     Scratch(EvalContext &ec, const CoreConfig &config,
             const ModelOptions &options)
-        : p(ec.profile()), cfg(config), opts(options), ss(ec.stats()),
-          ssI(ec.instStats()),
+        : p(ec.profile()), cfg(config), opts(options),
           bm(options.branchModel ? *options.branchModel
                                  : internedBranchModel(config.predictor))
     {
@@ -170,16 +166,6 @@ struct Scratch {
     }
 };
 
-/** Dispatch limits honoring the base-component ablation level. */
-DispatchLimits
-limitsFor(const Scratch &ctx,
-          const std::array<double, kNumUopTypes> &typeCounts, double cp,
-          double avgLat, double window)
-{
-    return ablatedLimits(typeCounts, cp, avgLat, ctx.cfg,
-                         ctx.opts.baseLevel, window);
-}
-
 /**
  * Mispredict-interval-truncated instruction window (recalibration): the
  * front end stops at a mispredicted branch, so on average the window
@@ -203,8 +189,7 @@ truncatedWindow(double frac, double uopsPerMispredict, uint32_t rob)
 
 void
 evaluateModelInto(EvalContext &ec, const CoreConfig &cfg,
-                  const ModelOptions &opts, ModelResult &res,
-                  BatchEval *fast)
+                  const ModelOptions &opts, ModelResult &res)
 {
     const Profile &p = ec.profile();
     res.windowCpi.clear();
@@ -215,29 +200,16 @@ evaluateModelInto(EvalContext &ec, const CoreConfig &cfg,
     // --- Cache miss rates from StatStack (thesis §4.2) -------------------
     const double l2L = cfg.l2.numLines();
     const double l3L = cfg.l3.numLines();
-    if (fast) {
-        const BatchEval::Ratios &r = fast->ratios(cfg);
-        ctx.mrL1 = r.l1;
-        ctx.mrL2 = r.l2;
-        ctx.mrL3 = r.l3;
-        ctx.mrS1 = r.s1;
-        ctx.mrS2 = r.s2;
-        ctx.mrS3 = r.s3;
-        ctx.mrI1 = r.i1;
-        ctx.mrI2 = r.i2;
-        ctx.mrI3 = r.i3;
-    } else {
-        const double l1L = cfg.l1d.numLines();
-        ctx.mrL1 = ec.dataMissRatio(p.reuseLoads, l1L);
-        ctx.mrL2 = ec.dataMissRatio(p.reuseLoads, l2L);
-        ctx.mrL3 = ec.dataMissRatio(p.reuseLoads, l3L);
-        ctx.mrS1 = ec.dataMissRatio(p.reuseStores, l1L);
-        ctx.mrS2 = ec.dataMissRatio(p.reuseStores, l2L);
-        ctx.mrS3 = ec.dataMissRatio(p.reuseStores, l3L);
-        ctx.mrI1 = ec.instMissRatio(p.reuseInsts, cfg.l1i.numLines());
-        ctx.mrI2 = ec.instMissRatio(p.reuseInsts, l2L);
-        ctx.mrI3 = ec.instMissRatio(p.reuseInsts, l3L);
-    }
+    const EvalContext::Ratios &r = ec.ratios(cfg);
+    ctx.mrL1 = r.l1;
+    ctx.mrL2 = r.l2;
+    ctx.mrL3 = r.l3;
+    ctx.mrS1 = r.s1;
+    ctx.mrS2 = r.s2;
+    ctx.mrS3 = r.s3;
+    ctx.mrI1 = r.i1;
+    ctx.mrI2 = r.i2;
+    ctx.mrI3 = r.i3;
 
     ctx.loads = ws.loads;
     ctx.stores = ws.stores;
@@ -267,8 +239,8 @@ evaluateModelInto(EvalContext &ec, const CoreConfig &cfg,
     // --- Branch misses first (thesis §3.5): the predicted mispredict
     // interval truncates the instruction window for both the dependence
     // limit and the MLP overlap walk (recalibration). ---------------------
-    res.branchMissRate = fast ? fast->globalMissRate(ctx.bm) :
-                                ctx.bm.missRate(ws.globalEntropy);
+    const EvalContext::BranchRates &br = ec.branchRates(ctx.bm);
+    res.branchMissRate = br.global;
     res.branchMisses = res.branchMissRate * ws.globalBranches;
     const double uopsPerMiss = res.branchMisses > 0.5 ?
         ctx.totalUops / res.branchMisses : 0;
@@ -279,28 +251,17 @@ evaluateModelInto(EvalContext &ec, const CoreConfig &cfg,
     ctx.window = depWindow;
 
     // --- Dispatch limits (Eq 3.10) at the truncated window -----------------
-    const std::vector<DispatchLimits> *limWindows = nullptr;
-    if (fast) {
-        const BatchEval::LimitsEntry &le =
-            fast->limits(cfg, ctx.mrL1, depWindow);
-        res.limits = le.global;
-        limWindows = &le.windows;
-    } else {
-        const double cpGlobal = p.chains.cp(depWindow);
-        res.limits =
-            limitsFor(ctx, globalCounts, cpGlobal, avgLat, depWindow);
-    }
+    const EvalContext::LimitsEntry &lim =
+        ec.limits(cfg, opts.baseLevel, ctx.mrL1, depWindow);
+    res.limits = lim.global;
     res.deff = res.limits.effective();
 
     if (res.branchMisses > 0.5)
-        ctx.cres = fast ?
-            fast->branchResolution(cfg, avgLat, uopsPerMiss) :
-            ec.branchResolution(cfg, avgLat, uopsPerMiss);
+        ctx.cres = ec.branchResolution(cfg, avgLat, uopsPerMiss);
     res.branchResolution = ctx.cres;
 
     // --- MLP (thesis Ch. 4) -------------------------------------------------
-    ctx.mlpEst = fast ? &fast->mlpEstimate(cfg, mlpWindow) :
-                        &ec.mlpEstimate(cfg, opts, mlpWindow);
+    ctx.mlpEst = &ec.mlpEstimate(cfg, opts, mlpWindow);
     ctx.mlp = ctx.mlpEst->mlp;
     ctx.prefetchFactor = ctx.mlpEst->dramMisses > 0 ?
         ctx.mlpEst->latWeighted / ctx.mlpEst->dramMisses : 1.0;
@@ -309,8 +270,7 @@ evaluateModelInto(EvalContext &ec, const CoreConfig &cfg,
     // Per-op serial-chain weights for the chained-LLC-hit bound (memoized
     // per (L2, L3) level pair): an LLC hit on a load that depends on other
     // loads cannot be overlapped.
-    const EvalContext::ChainWeights &cw =
-        fast ? fast->chainWeights(l2L, l3L) : ec.chainWeights(l2L, l3L);
+    const EvalContext::ChainWeights &cw = ec.chainWeights(l2L, l3L);
 
     const double llcLoadMisses = res.loadMissesL3;
     const double llcStoreMisses = res.storeMissesL3;
@@ -350,11 +310,6 @@ evaluateModelInto(EvalContext &ec, const CoreConfig &cfg,
         // Window entropies come pre-normalized from the statics: their
         // branch-weighted mean matches the (longer-history) global
         // entropy (ws.eNorm).
-        if (!limWindows)
-            limWindows =
-                &ec.windowLimits(cfg, opts.baseLevel, ctx.mrL1, depWindow);
-        const std::vector<double> *fastMisses =
-            fast ? &fast->windowBranchMisses(ctx.bm) : nullptr;
         const double icacheScaled =
             p.profiledUops ? icacheCycles / p.scale() : 0.0;
 
@@ -365,17 +320,14 @@ evaluateModelInto(EvalContext &ec, const CoreConfig &cfg,
             if (uopsW <= 0)
                 continue;
 
-            const DispatchLimits &limW = (*limWindows)[wi];
+            const DispatchLimits &limW = lim.windows[wi];
             double deffW = limW.effective();
             double nW = useInsts ? ws.insts[wi] : uopsW;
             double baseW = nW / deffW;
 
             // Branch component with window-local entropy.
-            double missesW = fastMisses ?
-                (*fastMisses)[wi] :
-                ctx.bm.missRate(ws.entropyEff[wi]) *
-                    p.windows[wi].branches;
-            double branchW = missesW * ctx.visibleBranchPenalty(deffW);
+            double branchW =
+                br.windowMisses[wi] * ctx.visibleBranchPenalty(deffW);
 
             // I-cache cycles distributed by uop share.
             double icacheW = icacheScaled * ws.uopShare[wi];
@@ -478,7 +430,7 @@ evaluateModel(EvalContext &ec, const CoreConfig &cfg,
               const ModelOptions &opts)
 {
     ModelResult res;
-    evaluateModelInto(ec, cfg, opts, res, nullptr);
+    evaluateModelInto(ec, cfg, opts, res);
     return res;
 }
 
@@ -486,9 +438,8 @@ ModelResult
 evaluateModel(const Profile &p, const CoreConfig &cfg,
               const ModelOptions &opts)
 {
-    // Compat wrapper: a throwaway context makes this the uncached path.
-    // Use an EvalContext directly when evaluating many design points
-    // against one profile (the DSE sweep does).
+    // A throwaway context: use an EvalContext directly when evaluating
+    // many design points against one profile (the DSE sweep does).
     EvalContext ctx(p);
     return evaluateModel(ctx, cfg, opts);
 }

@@ -62,7 +62,7 @@ struct PowerBreakdown {
  * Everything computePower derives from the configuration alone: per-event
  * dynamic energies (nJ at the reference voltage), the Vdd^2 dynamic
  * scale and the summed leakage. Deriving these is std::pow-heavy, so a
- * batched sweep computes them once per design point and reuses them
+ * multi-workload sweep computes them once per design point and reuses them
  * across workloads; computePower(a, cfg) is bitwise identical to
  * computePower(a, cfg, powerParams(cfg)).
  */

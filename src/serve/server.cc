@@ -198,11 +198,12 @@ struct Server::Impl {
     // ---- profile LRU ------------------------------------------------
     struct ProfileEntry {
         // Stored inside a 1-element vector so sweepEx can borrow it
-        // without copying (the warm ModelEvalPool is keyed on profile
-        // identity; a copy would defeat it).
+        // without copying (the pool is keyed on profile identity; a copy
+        // would defeat it).
         std::vector<Profile> profile;
-        std::unique_ptr<EvalContext> ctx; // built on first evaluate
-        ModelEvalPool pool;               // warm sweep evaluators
+        // The profile's one evaluation engine, slot 0: evaluate and
+        // sweep both warm it.
+        ModelEvalPool pool;
         std::mutex mu; // serializes model state (not thread-safe)
     };
 
@@ -866,10 +867,8 @@ struct Server::Impl {
             return st;
 
         std::lock_guard<std::mutex> lk(entry->mu);
-        if (!entry->ctx)
-            entry->ctx =
-                std::make_unique<EvalContext>(entry->profile[0]);
-        ModelResult m = evaluateModel(*entry->ctx, cfg, {});
+        ModelResult m =
+            evaluateModel(entry->pool.get(0, entry->profile[0]), cfg, {});
         PowerBreakdown pw = computePower(m.activity, cfg);
 
         key(body, "cpi");
@@ -911,8 +910,8 @@ struct Server::Impl {
         sopts.mode = SweepMode::ModelOnlyPareto;
         sopts.cancel = tok;
         sopts.evalPool = &entry->pool;
-        // Model evaluation shares one memoized state per workload; the
-        // entry lock also keeps two sweeps off the same warm pool.
+        // The sweep runs on the entry's warm context; the entry lock
+        // keeps evaluates and other sweeps off it meanwhile.
         std::unique_lock<std::mutex> lk(entry->mu);
         std::vector<Trace> traces(1);
         SweepResult r = sweepEx(traces, entry->profile, space.configs(),

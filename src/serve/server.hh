@@ -35,9 +35,9 @@
  *    pool; when the queue is full the reader sheds load immediately with
  *    a ResourceExhausted response rather than buffering unboundedly.
  *  - *Warm state*: deserialized profiles live in a bounded LRU; each
- *    entry keeps a memoized EvalContext and a ModelEvalPool so repeated
- *    evaluations and sweeps against the same profile reuse the batched
- *    evaluators (PR 6) instead of rebuilding StatStacks per request.
+ *    entry keeps one memoized EvalContext (a ModelEvalPool slot) that
+ *    evaluations and sweeps against the profile share, instead of
+ *    rebuilding StatStacks and memo tables per request.
  *  - *Fault injection*: with ServerOptions::allowFailpoints the
  *    `failpoint` op arms util/failpoint sites remotely, which is how the
  *    recovery-path tests drive corrupt-upload, mid-sweep-deadline and

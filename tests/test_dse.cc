@@ -266,10 +266,11 @@ TEST(Explorer, SweepCoversAllPairs)
         c.setWidth(w);
         configs.push_back(c);
     }
-    auto points = sweep(traces, profiles, configs);
-    ASSERT_EQ(points.size(), 4u);
+    SweepResult r = sweepEx(traces, profiles, configs);
+    ASSERT_TRUE(r.status.isOk());
+    ASSERT_EQ(r.points.size(), 4u);
     std::set<std::pair<size_t, size_t>> seen;
-    for (const auto &pt : points) {
+    for (const auto &pt : r.points) {
         seen.insert({pt.configIdx, pt.workloadIdx});
         EXPECT_GT(pt.simCpi, 0.0);
         EXPECT_GT(pt.modelCpi, 0.0);
@@ -298,8 +299,9 @@ TEST(Explorer, EmptyInputsAreStructuredErrorsNotEmptyResults)
     r = sweepEx({}, {p}, cfgs, {}, {});
     EXPECT_EQ(r.status.code(), StatusCode::InvalidArgument);
 
-    // The legacy wrapper surfaces the same condition as a StatusError.
-    EXPECT_THROW(sweep({t}, {p}, {}), StatusError);
+    // An empty design space is rejected in the simulating modes too.
+    r = sweepEx({t}, {p}, {}, {}, {});
+    EXPECT_EQ(r.status.code(), StatusCode::InvalidArgument);
 
     r = sweepGenerated({p}, 0, [](size_t, CoreConfig &) {});
     EXPECT_EQ(r.status.code(), StatusCode::InvalidArgument);

@@ -3,15 +3,18 @@
  * Tests for the per-workload evaluation cache and the model-first DSE
  * pipeline.
  *
- * The load-bearing guarantee is *bitwise* parity: a memoized EvalContext
- * must return exactly the doubles the uncached path computes, for every
- * point of a design space. Everything downstream (Pareto pruning, error
- * metrics, the recorded benchmark speedups) assumes the cache is a pure
- * performance feature with zero numerical footprint.
+ * The load-bearing guarantee is *bitwise* parity: every memo table of an
+ * EvalContext must return exactly the doubles the plain function it
+ * replaces computes, and a warm context must answer exactly as a fresh
+ * one, for every point of a design space. Everything downstream (Pareto
+ * pruning, error metrics, the recorded benchmark speedups) assumes the
+ * cache is a pure performance feature with zero numerical footprint.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "dse/explorer.hh"
@@ -156,49 +159,313 @@ TEST(EvalCache, InternedBranchModelMatchesPretrained)
 }
 
 // ---------------------------------------------------------------------------
-// Batched (structure-of-arrays) evaluation engine
+// Memo replays against the plain functions they replace
 // ---------------------------------------------------------------------------
 
-TEST(BatchEval, BatchedMatchesScalarBitwiseOnThesisGrid)
+/** Exact comparison that also equates identical NaN bit patterns. */
+bool
+sameBits(double a, double b)
 {
-    // The streaming sweep's load-bearing guarantee, same discipline as
-    // the EvalContext tests above: the batched engine must reproduce
-    // the scalar cached path bit for bit over the full 243-point thesis
-    // grid, under both the fitted calibration and the plain thesis
-    // formulation (whose different coefficients exercise every
-    // config-dependent scalar the batch path hoists).
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool
+sameLimits(const DispatchLimits &a, const DispatchLimits &b)
+{
+    return sameBits(a.width, b.width) &&
+           sameBits(a.dependences, b.dependences) &&
+           sameBits(a.ports, b.ports) && sameBits(a.fus, b.fus);
+}
+
+bool
+sameMlp(const MlpEstimate &a, const MlpEstimate &b)
+{
+    if (!sameBits(a.mlp, b.mlp) || !sameBits(a.dramMisses, b.dramMisses) ||
+        !sameBits(a.latWeighted, b.latWeighted) ||
+        a.windows.size() != b.windows.size())
+        return false;
+    for (size_t i = 0; i < a.windows.size(); ++i)
+        if (!sameBits(a.windows[i].dramMisses, b.windows[i].dramMisses) ||
+            !sameBits(a.windows[i].latWeighted,
+                      b.windows[i].latWeighted) ||
+            !sameBits(a.windows[i].mlp, b.windows[i].mlp))
+            return false;
+    return true;
+}
+
+/** The fitted and the plain thesis coefficients: their different
+ *  truncated windows and injection fractions reach different memo keys. */
+std::vector<ModelOptions>
+bothCalibrations()
+{
+    std::vector<ModelOptions> v(2);
+    v[1].cal = ModelCalibration::uncalibrated();
+    return v;
+}
+
+/** Mirror of the model's mispredict-interval window truncation. */
+uint32_t
+truncatedWindow(double frac, double uopsPerMiss, uint32_t rob)
+{
+    if (frac <= 0 || uopsPerMiss <= 0)
+        return rob;
+    double w = frac * uopsPerMiss;
+    if (w >= rob)
+        return rob;
+    return static_cast<uint32_t>(std::max(w, 16.0));
+}
+
+/** The per-point inputs the model feeds its memoized components. */
+struct PointInputs {
+    double mrL1 = 0, avgLat = 0, uopsPerMiss = 0;
+    uint32_t depWindow = 0, mlpWindow = 0;
+};
+
+PointInputs
+pointInputs(const Profile &p, const StatStack &ss, const CoreConfig &cfg,
+            const ModelOptions &mo)
+{
+    std::array<double, kNumUopTypes> frac{};
+    for (int t = 0; t < kNumUopTypes; ++t)
+        frac[t] = p.uopFraction(static_cast<UopType>(t));
+    const BranchMissModel &bm = internedBranchModel(cfg.predictor);
+    PointInputs in;
+    in.mrL1 = ss.missRatio(p.reuseLoads, cfg.l1d.numLines());
+    in.avgLat = mixAvgLatency(frac, cfg, in.mrL1);
+    double misses = bm.missRate(p.branch.entropy()) * p.branch.branches;
+    in.uopsPerMiss = misses > 0.5 ? p.totalUops / misses : 0;
+    in.depWindow = truncatedWindow(mo.cal.baseWindowFrac, in.uopsPerMiss,
+                                   cfg.robSize);
+    in.mlpWindow = truncatedWindow(mo.cal.mlpWindowFrac, in.uopsPerMiss,
+                                   cfg.robSize);
+    return in;
+}
+
+struct ReplayFixture {
     Profile p = makeProfile("balanced_mix", 60000);
+    StatStack ss{p.reuseAll}, ssI{p.reuseInsts};
     DesignSpace space; // full 243-point thesis grid
-    const auto &grid = space.configs();
-    for (bool uncal : {false, true}) {
-        ModelOptions mo;
-        if (uncal)
-            mo.cal = ModelCalibration::uncalibrated();
+};
 
-        EvalContext scalarCtx(p);
-        EvalContext batchCtx(p);
-        BatchEval be(batchCtx, mo);
+TEST(EvalCache, MissRatiosReplayStatStack)
+{
+    ReplayFixture f;
+    EvalContext ctx(f.p);
+    size_t bad = 0;
+    for (const CoreConfig &cfg : f.space.configs()) {
+        const EvalContext::Ratios &r = ctx.ratios(cfg);
+        const double l1 = cfg.l1d.numLines(), l2 = cfg.l2.numLines(),
+                     l3 = cfg.l3.numLines(), li = cfg.l1i.numLines();
+        bad += !sameBits(r.l1, f.ss.missRatio(f.p.reuseLoads, l1)) +
+               !sameBits(r.l2, f.ss.missRatio(f.p.reuseLoads, l2)) +
+               !sameBits(r.l3, f.ss.missRatio(f.p.reuseLoads, l3)) +
+               !sameBits(r.s1, f.ss.missRatio(f.p.reuseStores, l1)) +
+               !sameBits(r.s2, f.ss.missRatio(f.p.reuseStores, l2)) +
+               !sameBits(r.s3, f.ss.missRatio(f.p.reuseStores, l3)) +
+               !sameBits(r.i1, f.ssI.missRatio(f.p.reuseInsts, li)) +
+               !sameBits(r.i2, f.ssI.missRatio(f.p.reuseInsts, l2)) +
+               !sameBits(r.i3, f.ssI.missRatio(f.p.reuseInsts, l3));
+    }
+    EXPECT_EQ(bad, 0u);
+}
 
-        std::vector<PowerParams> pp;
-        for (const CoreConfig &cfg : grid)
-            pp.push_back(powerParams(cfg));
-        std::vector<BatchEval::Output> out(grid.size());
-        be.evaluate(grid.data(), grid.size(), out.data(), pp.data());
-        // Without precomputed power params the engine derives them per
-        // point; both paths must agree exactly.
-        std::vector<BatchEval::Output> outDerived(grid.size());
-        be.evaluate(grid.data(), grid.size(), outDerived.data(), nullptr);
+TEST(EvalCache, LimitsReplayAblatedLimitsAtEveryBaseLevel)
+{
+    ReplayFixture f;
+    using Level = ModelOptions::BaseLevel;
+    for (const ModelOptions &mo : bothCalibrations()) {
+        EvalContext ctx(f.p);
+        const EvalContext::WindowStatics &ws = ctx.windowStatics();
+        size_t bad = 0, checked = 0;
+        for (const CoreConfig &cfg : f.space.configs()) {
+            PointInputs in = pointInputs(f.p, f.ss, cfg, mo);
+            const uint32_t w0 = std::min(in.depWindow, cfg.robSize);
+            for (Level level : {Level::Instructions, Level::MicroOps,
+                                Level::CriticalPath, Level::Functional}) {
+                const EvalContext::LimitsEntry &le =
+                    ctx.limits(cfg, level, in.mrL1, in.depWindow);
+                double latG = mixAvgLatency(ws.globalFrac, cfg, in.mrL1);
+                bad += !sameLimits(
+                    le.global,
+                    ablatedLimits(ws.globalCounts,
+                                  f.p.chains.cp(in.depWindow), latG, cfg,
+                                  level, in.depWindow));
+                ASSERT_EQ(le.windows.size(), f.p.windows.size());
+                for (size_t wi = 0; wi < f.p.windows.size(); ++wi) {
+                    const WindowProfile &w = f.p.windows[wi];
+                    const double uops = w.uops();
+                    DispatchLimits want;
+                    if (uops > 0) {
+                        std::array<double, kNumUopTypes> counts{}, frac{};
+                        for (int t = 0; t < kNumUopTypes; ++t) {
+                            counts[t] = w.uopCounts[t];
+                            frac[t] = w.uopCounts[t] / uops;
+                        }
+                        want = ablatedLimits(
+                            counts,
+                            windowChainLength(w.cp, f.p.robSizes, w0),
+                            mixAvgLatency(frac, cfg, in.mrL1), cfg, level,
+                            w0);
+                    }
+                    bad += !sameLimits(le.windows[wi], want);
+                    ++checked;
+                }
+            }
+        }
+        EXPECT_GT(checked, 0u);
+        EXPECT_EQ(bad, 0u);
+    }
+}
 
-        for (size_t i = 0; i < grid.size(); ++i) {
-            ModelResult scalar = evaluateModel(scalarCtx, grid[i], mo);
-            expectIdentical(be.evaluateOne(grid[i]), scalar);
-            EXPECT_EQ(out[i].modelCpi, scalar.cpiPerUop());
-            EXPECT_EQ(out[i].modelWatts,
-                      computePower(scalar.activity, grid[i]).total());
-            EXPECT_EQ(outDerived[i].modelCpi, out[i].modelCpi);
-            EXPECT_EQ(outDerived[i].modelWatts, out[i].modelWatts);
+TEST(EvalCache, BranchResolutionReplaysLeakyBucket)
+{
+    ReplayFixture f;
+    for (const ModelOptions &mo : bothCalibrations()) {
+        EvalContext ctx(f.p);
+        size_t bad = 0;
+        for (const CoreConfig &cfg : f.space.configs()) {
+            PointInputs in = pointInputs(f.p, f.ss, cfg, mo);
+            for (double ni : {in.uopsPerMiss, 7.0, 300.0, 5000.0})
+                bad += !sameBits(
+                    ctx.branchResolution(cfg, in.avgLat, ni),
+                    branchResolutionTime(f.p.chains, cfg, in.avgLat, ni));
+        }
+        EXPECT_EQ(bad, 0u);
+    }
+}
+
+TEST(EvalCache, MlpReplaysStrideAndColdMissModels)
+{
+    ReplayFixture f;
+    for (ModelOptions mo : bothCalibrations()) {
+        EvalContext ctx(f.p);
+        size_t bad = 0;
+        for (const CoreConfig &cfg : f.space.configs()) {
+            PointInputs in = pointInputs(f.p, f.ss, cfg, mo);
+            MlpOptions opt{mo.modelMshrs, mo.modelPrefetcher};
+            opt.windowUops = in.mlpWindow;
+            opt.coldInject = mo.cal.coldInject;
+            mo.mlpMode = ModelOptions::MlpMode::Stride;
+            bad += !sameMlp(ctx.mlpEstimate(cfg, mo, in.mlpWindow),
+                            strideMlp(f.p, cfg, f.ss, opt));
+            mo.mlpMode = ModelOptions::MlpMode::ColdMiss;
+            bad += !sameMlp(ctx.mlpEstimate(cfg, mo, in.mlpWindow),
+                            coldMissMlp(f.p, cfg, f.ss, opt));
+        }
+        EXPECT_EQ(bad, 0u);
+    }
+}
+
+TEST(EvalCache, ChainWeightsReplayPerOpComputation)
+{
+    ReplayFixture f;
+    EvalContext ctx(f.p);
+    size_t bad = 0;
+    for (const CoreConfig &cfg : f.space.configs()) {
+        const double l2 = cfg.l2.numLines(), l3 = cfg.l3.numLines();
+        const EvalContext::ChainWeights &cw = ctx.chainWeights(l2, l3);
+        std::vector<double> weight(f.p.memOps.size(), 0.0);
+        double global = 0, loads = 0;
+        for (size_t i = 0; i < f.p.memOps.size(); ++i) {
+            const StaticMemProfile &sp = f.p.memOps[i];
+            if (sp.isStore)
+                continue;
+            double hit3 = std::max(0.0, f.ss.missRatio(sp.reuse, l2) -
+                                            f.ss.missRatio(sp.reuse, l3));
+            weight[i] =
+                hit3 * std::clamp(sp.avgLoadDepth() - 1.0, 0.0, 1.0);
+            global += weight[i] * sp.count;
+            loads += sp.count;
+        }
+        if (loads > 0)
+            global /= loads;
+        bad += !sameBits(cw.globalSerialHits, global);
+        ASSERT_EQ(cw.opWeight.size(), weight.size());
+        for (size_t i = 0; i < weight.size(); ++i)
+            bad += !sameBits(cw.opWeight[i], weight[i]);
+        ASSERT_EQ(cw.windowSerial.size(), f.p.windows.size());
+        for (size_t wi = 0; wi < f.p.windows.size(); ++wi) {
+            double serial = 0;
+            for (const auto &[op, cnt] : f.p.windows[wi].memCounts)
+                serial += weight[op] * cnt;
+            bad += !sameBits(cw.windowSerial[wi], serial);
         }
     }
+    EXPECT_EQ(bad, 0u);
+}
+
+TEST(EvalCache, BranchRatesKeyOnCoefficientValues)
+{
+    ReplayFixture f;
+    EvalContext ctx(f.p);
+    const EvalContext::WindowStatics &ws = ctx.windowStatics();
+    // Models differing in one coefficient each, built in turn in the
+    // same stack slot: a key that missed a coefficient, or keyed on the
+    // model's address, would hand one model another's rates.
+    for (int field = -1; field < 4; ++field) {
+        for (int rep = 0; rep < 2; ++rep) {
+            // The knee sits below the profile's entropies, so all four
+            // coefficients shape the rates.
+            BranchMissModel bm;
+            bm.knee = 0.02;
+            bm.kneeSlope = 0.2;
+            double *coef[] = {&bm.slope, &bm.intercept, &bm.knee,
+                              &bm.kneeSlope};
+            if (field >= 0)
+                *coef[field] += 0.05;
+            const EvalContext::BranchRates &r = ctx.branchRates(bm);
+            EXPECT_TRUE(sameBits(r.global, bm.missRate(ws.globalEntropy)));
+            ASSERT_EQ(r.windowMisses.size(), f.p.windows.size());
+            for (size_t wi = 0; wi < f.p.windows.size(); ++wi)
+                EXPECT_TRUE(sameBits(r.windowMisses[wi],
+                                     bm.missRate(ws.entropyEff[wi]) *
+                                         f.p.windows[wi].branches))
+                    << "coefficient " << field << " window " << wi;
+        }
+    }
+}
+
+TEST(EvalCache, ColdContextMatchesWarmContextOnThesisGrid)
+{
+    // The contamination case that matters for a shared engine: a context
+    // that has already served other configs, other coefficients, a
+    // custom branch model and other base levels must answer exactly as a
+    // fresh one does.
+    ReplayFixture f;
+    const auto &grid = f.space.configs();
+    BranchMissModel custom;
+    custom.slope = 0.35;
+    custom.intercept = 0.01;
+    custom.knee = 0.4;
+    custom.kneeSlope = 0.2;
+
+    EvalContext warm(f.p);
+    const DesignSpace other = DesignSpace::small();
+    for (const CoreConfig &cfg : other.configs()) {
+        for (int variant = 0; variant < 4; ++variant) {
+            ModelOptions mo;
+            mo.baseLevel = static_cast<ModelOptions::BaseLevel>(variant);
+            mo.cal.coldInject = 0.1 * variant;
+            mo.cal.mlpWindowFrac = 0.5 + 0.25 * variant;
+            mo.perWindow = variant % 2 == 0;
+            BranchMissModel bm = custom;
+            bm.slope += 0.05 * (variant + 1);
+            mo.branchModel = bm;
+            evaluateModel(warm, cfg, mo);
+        }
+    }
+
+    std::vector<ModelOptions> variants = bothCalibrations();
+    ModelOptions withCustom;
+    withCustom.branchModel = custom;
+    variants.push_back(withCustom);
+    ModelOptions critical;
+    critical.baseLevel = ModelOptions::BaseLevel::CriticalPath;
+    variants.push_back(critical);
+    for (const ModelOptions &mo : variants)
+        for (const CoreConfig &cfg : grid)
+            expectIdentical(evaluateModel(warm, cfg, mo),
+                            evaluateModel(f.p, cfg, mo));
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +532,7 @@ TEST(Sweep, WorkloadMajorOrdering)
         }
 }
 
-TEST(Sweep, PairedMatchesLegacySweepAndSimulatesEverything)
+TEST(Sweep, PairedSimulatesEverything)
 {
     SweepFixture f;
     SweepResult r = sweepEx(f.traces, f.profiles, f.configs, {}, {});
@@ -274,18 +541,6 @@ TEST(Sweep, PairedMatchesLegacySweepAndSimulatesEverything)
         EXPECT_TRUE(pt.simulated);
         EXPECT_GT(pt.simCpi, 0.0);
         EXPECT_GT(pt.modelCpi, 0.0);
-    }
-    // The compat wrapper returns the same evaluations in the historical
-    // config-major order (point i = workload i % nw, config i / nw).
-    auto legacy = sweep(f.traces, f.profiles, f.configs);
-    ASSERT_EQ(legacy.size(), r.points.size());
-    const size_t nw = f.profiles.size();
-    for (size_t i = 0; i < legacy.size(); ++i) {
-        EXPECT_EQ(legacy[i].workloadIdx, i % nw);
-        EXPECT_EQ(legacy[i].configIdx, i / nw);
-        const SweepPoint &pt = r.at(i % nw, i / nw);
-        EXPECT_EQ(legacy[i].modelCpi, pt.modelCpi);
-        EXPECT_EQ(legacy[i].simCpi, pt.simCpi);
     }
 }
 

@@ -11,6 +11,7 @@
 
 #include "model/interval_model.hh"
 #include "profiler/profiler.hh"
+#include "trace/rng.hh"
 #include "uarch/design_space.hh"
 #include "workloads/workload.hh"
 
@@ -131,6 +132,63 @@ TEST(DispatchModel, SinglePortTypesScheduledFirst)
     for (double a : activity)
         maxAct = std::max(maxAct, a);
     EXPECT_NEAR(maxAct, 40.0, 1.0); // the load port, not load+alu
+}
+
+TEST(DispatchModel, PortFillTerminatesBelowTheRoundingStep)
+{
+    // Two uop types both issue on both ports. The first fills the ports
+    // to 5e16, where the second type's single uop is below the rounding
+    // step: level + 1 rounds back to level, so a fill that waits for the
+    // capacity to cover the remainder never finishes.
+    CoreConfig cfg = CoreConfig::nehalemReference();
+    cfg.ports = {{{UopType::IntAlu, UopType::FpAlu}},
+                 {{UopType::IntAlu, UopType::FpAlu}}};
+    auto mix = counts({{UopType::IntAlu, 1e17}, {UopType::FpAlu, 1}});
+    ASSERT_EQ(5e16 + 1, 5e16);
+    auto activity = schedulePorts(mix, cfg);
+    ASSERT_EQ(activity.size(), 2u);
+    EXPECT_EQ(activity[0], 5e16);
+    EXPECT_EQ(activity[1], 5e16);
+}
+
+TEST(DispatchModel, PortFillConservesUopsOnEveryLayout)
+{
+    // Random type counts over eighteen decades (zeros included), against
+    // the issue-port layout of every dispatch width from 1 to 16.
+    Rng rng(17);
+    for (uint32_t width = 1; width <= 16; ++width) {
+        CoreConfig cfg = CoreConfig::nehalemReference();
+        cfg.setWidth(width);
+        const size_t np = cfg.ports.size();
+        for (int trial = 0; trial < 200; ++trial) {
+            std::array<double, kNumUopTypes> mix{};
+            double placed = 0;
+            std::vector<double> start(np, 0.0);
+            for (int t = 0; t < kNumUopTypes; ++t) {
+                if (rng.below(4) == 0)
+                    continue;
+                mix[t] = std::floor(std::pow(10.0, 18 * rng.uniform()));
+                std::vector<size_t> eligible;
+                for (size_t p = 0; p < np; ++p)
+                    if (cfg.ports[p].canIssue(static_cast<UopType>(t)))
+                        eligible.push_back(p);
+                if (!eligible.empty())
+                    placed += mix[t];
+                // Single-port types are placed before any fill starts.
+                if (eligible.size() == 1)
+                    start[eligible[0]] += mix[t];
+            }
+            auto activity = schedulePorts(mix, cfg);
+            ASSERT_EQ(activity.size(), np);
+            double sum = 0;
+            for (size_t p = 0; p < np; ++p) {
+                EXPECT_GE(activity[p], start[p])
+                    << "width " << width << " port " << p;
+                sum += activity[p];
+            }
+            EXPECT_NEAR(sum, placed, 1e-9 * placed) << "width " << width;
+        }
+    }
 }
 
 TEST(BranchModel, MissRateClampedToUnitInterval)

@@ -27,10 +27,13 @@
 #include <thread>
 #include <vector>
 
+#include "dse/explorer.hh"
+#include "model/eval_cache.hh"
 #include "obs/trace.hh"
 #include "profiler/profile_io.hh"
 #include "profiler/profiler.hh"
 #include "serve/server.hh"
+#include "uarch/design_space.hh"
 #include "util/failpoint.hh"
 #include "util/json.hh"
 #include "workloads/workload.hh"
@@ -191,6 +194,74 @@ TEST_F(ServeTest, LoadEvaluateSweepHappyPath)
     for (size_t i = 0; i < r["front"].array().size(); ++i)
         EXPECT_EQ(again["front"].array()[i]["cpi"].number(),
                   r["front"].array()[i]["cpi"].number());
+}
+
+/** A reply number as the server prints it (%.10g). */
+std::string
+printed(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    return buf;
+}
+
+TEST_F(ServeTest, EvaluateAndSweepShareOneEngineBitExactly)
+{
+    // One uploaded profile, one warm engine: evaluates before and after a
+    // sweep (with different configs each time) must print exactly what a
+    // fresh in-process evaluation gives, and the sweep front must equal
+    // an in-process streaming sweep.
+    startServer();
+    Client c = client();
+    const std::string text = profileText("balanced_mix");
+    Profile p;
+    ASSERT_TRUE(parseProfile(text, p).isOk());
+
+    json::Value r =
+        call(c, std::string(R"({"op":"load-profile","name":"w0",)") +
+                    "\"data\":" + json::quote(text) + "}");
+    ASSERT_TRUE(r["ok"].boolean()) << r["error"].str();
+
+    auto evaluate = [&](uint32_t width, uint32_t rob, uint32_t l3Mb) {
+        json::Value e = call(
+            c, R"({"op":"evaluate","profile":"w0","config":{"width":)" +
+                   std::to_string(width) + ",\"rob\":" +
+                   std::to_string(rob) + ",\"l3_mb\":" +
+                   std::to_string(l3Mb) + "}}");
+        ASSERT_TRUE(e["ok"].boolean()) << e["error"].str();
+        CoreConfig cfg = CoreConfig::nehalemReference();
+        cfg.setWidth(width);
+        scaleBackEnd(cfg, rob);
+        cfg.l3.sizeBytes = l3Mb * 1024 * 1024;
+        scaleCacheLatencies(cfg);
+        ModelResult m = evaluateModel(p, cfg);
+        EXPECT_EQ(printed(e["cpi"].number()), printed(m.cpiPerUop()));
+        EXPECT_EQ(printed(e["watts"].number()),
+                  printed(computePower(m.activity, cfg).total()));
+    };
+
+    evaluate(4, 128, 8);
+
+    r = call(c, R"({"op":"sweep","profile":"w0","space":"small"})");
+    ASSERT_TRUE(r["ok"].boolean()) << r["error"].str();
+    EXPECT_FALSE(r["degraded"].boolean());
+    SweepOptions so;
+    so.mode = SweepMode::ModelOnlyPareto;
+    DesignSpace space = DesignSpace::small();
+    SweepResult want = sweepEx({}, {p}, space.configs(), {}, so);
+    ASSERT_TRUE(want.status.isOk());
+    const auto &front = r["front"].array();
+    ASSERT_EQ(front.size(), want.frontPoints[0].size());
+    for (size_t i = 0; i < front.size(); ++i) {
+        const SweepPoint &pt = want.frontPoints[0][i];
+        EXPECT_EQ(front[i]["config"].number(), pt.configIdx);
+        EXPECT_EQ(printed(front[i]["cpi"].number()), printed(pt.modelCpi));
+        EXPECT_EQ(printed(front[i]["watts"].number()),
+                  printed(pt.modelWatts));
+    }
+
+    evaluate(2, 64, 2);
+    evaluate(6, 256, 32);
 }
 
 TEST_F(ServeTest, ProfileOpGeneratesServerSideAndValidates)
