@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "workloads/workload.hh"
 
@@ -262,6 +263,20 @@ TEST(WorkloadValidation, EntireSuiteValidates)
         for (const auto &[seg, uops] : p.segments)
             EXPECT_NO_THROW(seg.validate()) << p.name;
 }
+
+} // namespace
+
+/**
+ * Print a workload parameter as its name. Without this gtest dumps the
+ * spec's raw bytes, which hold the name string's heap pointer, so the
+ * test ids ctest discovers would change from build to build.
+ */
+void PrintTo(const WorkloadSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
+namespace {
 
 /** Every suite workload generates a valid trace with sane properties. */
 class SuiteProperty : public ::testing::TestWithParam<WorkloadSpec>
