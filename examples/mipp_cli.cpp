@@ -295,30 +295,33 @@ cmdTrace(int argc, char **argv)
     return usage();
 }
 
+/** Design-point flags become serve's `config` members, so the CLI and
+ *  the daemon check them against one range table; a bad value throws
+ *  StatusError(InvalidArgument). */
 CoreConfig
 parseConfig(int argc, char **argv)
 {
-    CoreConfig cfg = CoreConfig::nehalemReference();
+    static const std::pair<const char *, const char *> kFlags[] = {
+        {"--width", "width"}, {"--rob", "rob"},     {"--l1d", "l1d_kb"},
+        {"--l2", "l2_kb"},    {"--l3", "l3_mb"},    {"--freq", "freq_ghz"},
+    };
+    json::Object knobs;
     for (int i = 0; i < argc; ++i) {
-        auto next = [&]() -> double {
-            return i + 1 < argc ? std::atof(argv[++i]) : 0;
-        };
-        if (!std::strcmp(argv[i], "--width"))
-            cfg.setWidth(static_cast<uint32_t>(next()));
-        else if (!std::strcmp(argv[i], "--rob"))
-            scaleBackEnd(cfg, static_cast<uint32_t>(next()));
-        else if (!std::strcmp(argv[i], "--l1d"))
-            cfg.l1d.sizeBytes = static_cast<uint32_t>(next()) * 1024;
-        else if (!std::strcmp(argv[i], "--l2"))
-            cfg.l2.sizeBytes = static_cast<uint32_t>(next()) * 1024;
-        else if (!std::strcmp(argv[i], "--l3"))
-            cfg.l3.sizeBytes =
-                static_cast<uint32_t>(next()) * 1024 * 1024;
-        else if (!std::strcmp(argv[i], "--freq"))
-            cfg.freqGHz = next();
-        else if (!std::strcmp(argv[i], "--prefetcher"))
-            cfg.prefetcherEnabled = true;
+        if (!std::strcmp(argv[i], "--prefetcher"))
+            knobs["prefetcher"] = true;
+        for (const auto &[flag, key] : kFlags) {
+            if (std::strcmp(argv[i], flag))
+                continue;
+            char *end = nullptr;
+            double v = i + 1 < argc ? std::strtod(argv[++i], &end) : 0;
+            if (!end || end == argv[i] || *end)
+                throw StatusError(invalidArgument(
+                    std::string(flag) + " expects a number"));
+            knobs[key] = v;
+        }
     }
+    CoreConfig cfg;
+    throwIfError(serve::parseConfigJson(json::Value(std::move(knobs)), cfg));
     return cfg;
 }
 

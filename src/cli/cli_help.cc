@@ -33,7 +33,8 @@ const std::vector<CommandHelp> kCommands = {
         "evaluate the analytical model for one design point",
         "Evaluate CPI stack, power and runtime for a single core\n"
         "configuration against a saved profile. Flags override the\n"
-        "Nehalem-like reference configuration.",
+        "Nehalem-like reference configuration, within the ranges the\n"
+        "serve protocol accepts (out of range: InvalidArgument, exit 2).",
     },
     {
         "sweep",

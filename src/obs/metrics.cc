@@ -1,20 +1,13 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/json.hh"
 
 namespace mipp::obs {
 
 namespace {
-
-std::string
-num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    return buf;
-}
 
 std::string
 unum(uint64_t v)
@@ -157,18 +150,10 @@ Registry::renderJsonArray() const
         if (!first)
             out += ',';
         first = false;
-        out += "{\"name\":\"" + e.name + "\"";
-        if (!e.labels.empty()) {
-            // Labels are pre-rendered Prometheus bodies (key="value");
-            // escape the embedded quotes for JSON.
-            out += ",\"labels\":\"";
-            for (char c : e.labels) {
-                if (c == '"' || c == '\\')
-                    out += '\\';
-                out += c;
-            }
-            out += '"';
-        }
+        out += "{\"name\":" + json::quote(e.name);
+        // Labels are pre-rendered Prometheus bodies (key="value").
+        if (!e.labels.empty())
+            out += ",\"labels\":" + json::quote(e.labels);
         switch (e.kind) {
         case Kind::Counter:
             out += ",\"type\":\"counter\",\"value\":" +
@@ -182,10 +167,10 @@ Registry::renderJsonArray() const
             HistogramSnapshot s = e.histogram->snapshot();
             out += ",\"type\":\"histogram\",\"count\":" + unum(s.count) +
                    ",\"sum\":" + unum(s.sum) + ",\"max\":" + unum(s.max) +
-                   ",\"mean\":" + num(s.mean()) +
-                   ",\"p50\":" + num(s.quantile(0.50)) +
-                   ",\"p90\":" + num(s.quantile(0.90)) +
-                   ",\"p99\":" + num(s.quantile(0.99));
+                   ",\"mean\":" + json::number(s.mean()) +
+                   ",\"p50\":" + json::number(s.quantile(0.50)) +
+                   ",\"p90\":" + json::number(s.quantile(0.90)) +
+                   ",\"p99\":" + json::number(s.quantile(0.99));
             break;
         }
         }
@@ -198,7 +183,7 @@ Registry::renderJsonArray() const
 std::string
 Registry::renderJson() const
 {
-    return "{\"uptime_ms\":" + num(uptimeMs()) +
+    return "{\"uptime_ms\":" + json::number(uptimeMs()) +
            ",\"metrics\":" + renderJsonArray() + "}";
 }
 

@@ -1,8 +1,9 @@
 #include "obs/trace.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <ostream>
+
+#include "util/json.hh"
 
 namespace mipp::obs {
 
@@ -120,19 +121,16 @@ SpanRecorder::writeChromeTrace(std::ostream &os) const
 {
     std::vector<SpanEvent> events = snapshot();
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    char buf[256];
     bool first = true;
     for (const SpanEvent &ev : events) {
         if (!ev.name)
             continue;
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s{\"name\":\"%s\",\"cat\":\"mipp\",\"ph\":\"X\","
-            "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u,"
-            "\"args\":{\"trace_id\":%llu}}",
-            first ? "" : ",", ev.name, ev.startNs / 1e3, ev.durNs / 1e3,
-            ev.tid, static_cast<unsigned long long>(ev.traceId));
-        os << buf;
+        os << (first ? "" : ",") << "{\"name\":" << json::quote(ev.name)
+           << ",\"cat\":\"mipp\",\"ph\":\"X\",\"ts\":"
+           << json::number(ev.startNs / 1e3)
+           << ",\"dur\":" << json::number(ev.durNs / 1e3)
+           << ",\"pid\":1,\"tid\":" << ev.tid
+           << ",\"args\":{\"trace_id\":" << ev.traceId << "}}";
         first = false;
     }
     os << "]}";

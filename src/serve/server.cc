@@ -55,13 +55,9 @@ writeAll(int fd, const char *p, size_t n)
     return true;
 }
 
-std::string
-num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    return buf;
-}
+/** Significant digits of model values on the wire (cpi, watts, cycles,
+ *  stack, front points): clients compare that text byte for byte. */
+constexpr int kModelDigits = 10;
 
 /** Append `"key":` to a response under construction. */
 void
@@ -72,17 +68,25 @@ key(std::string &out, std::string_view k)
     out += "\":";
 }
 
+/** A response's opening: `{` plus the request's echoed `"id":...,`. */
 std::string
-errorLine(const Status &st, const json::Value &id)
+replyStart(const json::Value &id)
 {
     std::string out = "{";
     if (id.isNumber()) {
         key(out, "id");
-        out += num(id.number()) + ",";
+        out += json::number(id.number()) + ",";
     } else if (id.isString()) {
         key(out, "id");
         out += json::quote(id.str()) + ",";
     }
+    return out;
+}
+
+std::string
+errorLine(const Status &st, const json::Value &id)
+{
+    std::string out = replyStart(id);
     out += "\"ok\":false,";
     key(out, "code");
     out += json::quote(statusCodeName(st.code())) + ",";
@@ -91,8 +95,8 @@ errorLine(const Status &st, const json::Value &id)
     return out;
 }
 
-/** Parse the `config` member of a request into a CoreConfig, starting
- *  from the Nehalem reference and validating every knob. */
+} // namespace
+
 Status
 parseConfigJson(const json::Value &v, CoreConfig &cfg)
 {
@@ -102,50 +106,39 @@ parseConfigJson(const json::Value &v, CoreConfig &cfg)
     if (!v.isObject())
         return invalidArgument("config must be an object");
 
-    auto bounded = [&](std::string_view k, double lo, double hi,
-                       double fallback, double &out) -> Status {
-        double d = v.numberOr(k, fallback);
-        if (!(d >= lo && d <= hi))
-            return invalidArgument(
-                std::string("config.") + std::string(k) +
-                " out of range [" + num(lo) + ", " + num(hi) + "]");
-        out = d;
-        return Status();
+    struct Knob {
+        std::string_view key;
+        double lo, hi, fallback;
     };
+    const Knob knobs[] = {
+        {"width", 1, 16, double(cfg.dispatchWidth)},
+        {"rob", 16, 4096, double(cfg.robSize)},
+        {"l1d_kb", 1, 1024, cfg.l1d.sizeBytes / 1024.0},
+        {"l2_kb", 16, 16384, cfg.l2.sizeBytes / 1024.0},
+        {"l3_mb", 1, 256, cfg.l3.sizeBytes / 1024.0 / 1024.0},
+        {"freq_ghz", 0.1, 10, cfg.freqGHz},
+    };
+    double val[std::size(knobs)];
+    for (size_t i = 0; i < std::size(knobs); ++i) {
+        const Knob &k = knobs[i];
+        val[i] = v.numberOr(k.key, k.fallback);
+        if (!(val[i] >= k.lo && val[i] <= k.hi))
+            return invalidArgument("config." + std::string(k.key) +
+                                   " out of range [" +
+                                   json::number(k.lo) + ", " +
+                                   json::number(k.hi) + "]");
+    }
 
-    double width = 0, rob = 0, l1dKb = 0, l2Kb = 0, l3Mb = 0, freq = 0;
-    Status st;
-    if (!(st = bounded("width", 1, 16, cfg.dispatchWidth, width)).isOk())
-        return st;
-    if (!(st = bounded("rob", 16, 4096, cfg.robSize, rob)).isOk())
-        return st;
-    if (!(st = bounded("l1d_kb", 1, 1024, cfg.l1d.sizeBytes / 1024.0,
-                       l1dKb))
-             .isOk())
-        return st;
-    if (!(st = bounded("l2_kb", 16, 16384, cfg.l2.sizeBytes / 1024.0,
-                       l2Kb))
-             .isOk())
-        return st;
-    if (!(st = bounded("l3_mb", 1, 256,
-                       cfg.l3.sizeBytes / 1024.0 / 1024.0, l3Mb))
-             .isOk())
-        return st;
-    if (!(st = bounded("freq_ghz", 0.1, 10, cfg.freqGHz, freq)).isOk())
-        return st;
-
-    cfg.setWidth(static_cast<uint32_t>(width));
-    scaleBackEnd(cfg, static_cast<uint32_t>(rob));
-    cfg.l1d.sizeBytes = static_cast<uint32_t>(l1dKb) * 1024;
-    cfg.l2.sizeBytes = static_cast<uint32_t>(l2Kb) * 1024;
-    cfg.l3.sizeBytes = static_cast<uint32_t>(l3Mb) * 1024 * 1024;
-    cfg.freqGHz = freq;
+    cfg.setWidth(static_cast<uint32_t>(val[0]));
+    scaleBackEnd(cfg, static_cast<uint32_t>(val[1]));
+    cfg.l1d.sizeBytes = static_cast<uint32_t>(val[2]) * 1024;
+    cfg.l2.sizeBytes = static_cast<uint32_t>(val[3]) * 1024;
+    cfg.l3.sizeBytes = static_cast<uint32_t>(val[4]) * 1024 * 1024;
+    cfg.freqGHz = val[5];
     cfg.prefetcherEnabled = v.boolOr("prefetcher", cfg.prefetcherEnabled);
     scaleCacheLatencies(cfg);
     return Status();
 }
-
-} // namespace
 
 struct Server::Impl {
     ServerOptions opts;
@@ -683,14 +676,7 @@ struct Server::Impl {
                 id);
         }
 
-        std::string out = "{";
-        if (id.isNumber()) {
-            key(out, "id");
-            out += num(id.number()) + ",";
-        } else if (id.isString()) {
-            key(out, "id");
-            out += json::quote(id.str()) + ",";
-        }
+        std::string out = replyStart(id);
         out += "\"ok\":true";
         if (!body.empty()) {
             out += ',';
@@ -730,7 +716,7 @@ struct Server::Impl {
         key(body, "profile");
         body += json::quote(name) + ",";
         key(body, "uops");
-        body += num(static_cast<double>(
+        body += json::number(static_cast<double>(
             entry->profile[0].totalUops));
         return Status();
     }
@@ -832,7 +818,7 @@ struct Server::Impl {
         key(body, "profile");
         body += json::quote(name) + ",";
         key(body, "uops");
-        body += num(static_cast<double>(
+        body += json::number(static_cast<double>(
             entry->profile[0].totalUops));
         return Status();
     }
@@ -872,18 +858,22 @@ struct Server::Impl {
         PowerBreakdown pw = computePower(m.activity, cfg);
 
         key(body, "cpi");
-        body += num(m.cpiPerUop()) + ",";
+        body += json::number(m.cpiPerUop(), kModelDigits) + ",";
         key(body, "watts");
-        body += num(pw.total()) + ",";
+        body += json::number(pw.total(), kModelDigits) + ",";
         key(body, "cycles");
-        body += num(m.cycles) + ",";
+        body += json::number(m.cycles, kModelDigits) + ",";
         double n = m.uops > 0 ? m.uops : 1;
         key(body, "stack");
-        body += "{\"base\":" + num(m.stack.base / n) +
-                ",\"branch\":" + num(m.stack.branch / n) +
-                ",\"icache\":" + num(m.stack.icache / n) +
-                ",\"llc\":" + num(m.stack.llcHit / n) +
-                ",\"dram\":" + num(m.stack.dram / n) + "}";
+        body += "{\"base\":" + json::number(m.stack.base / n, kModelDigits) +
+                ",\"branch\":" +
+                json::number(m.stack.branch / n, kModelDigits) +
+                ",\"icache\":" +
+                json::number(m.stack.icache / n, kModelDigits) +
+                ",\"llc\":" +
+                json::number(m.stack.llcHit / n, kModelDigits) +
+                ",\"dram\":" + json::number(m.stack.dram / n, kModelDigits) +
+                "}";
         return Status();
     }
 
@@ -923,7 +913,7 @@ struct Server::Impl {
             met.degraded.add();
 
         key(body, "space");
-        body += num(static_cast<double>(space.size())) + ",";
+        body += json::number(static_cast<double>(space.size())) + ",";
         key(body, "degraded");
         body += r.degraded ? "true," : "false,";
         key(body, "front");
@@ -935,11 +925,13 @@ struct Server::Impl {
                     body += ',';
                 first = false;
                 body += "{\"config\":" +
-                        num(static_cast<double>(pt.configIdx)) +
+                        json::number(static_cast<double>(pt.configIdx)) +
                         ",\"name\":" +
                         json::quote(space[pt.configIdx].name) +
-                        ",\"cpi\":" + num(pt.modelCpi) +
-                        ",\"watts\":" + num(pt.modelWatts) + "}";
+                        ",\"cpi\":" +
+                        json::number(pt.modelCpi, kModelDigits) +
+                        ",\"watts\":" +
+                        json::number(pt.modelWatts, kModelDigits) + "}";
             }
         }
         body += ']';
@@ -968,9 +960,11 @@ struct Server::Impl {
         key(body, "degraded");
         body += rep.degraded ? "true," : "false,";
         key(body, "points");
-        body += num(static_cast<double>(rep.points.size())) + ",";
+        body += json::number(static_cast<double>(rep.points.size())) +
+                ",";
         key(body, "violations");
-        body += num(static_cast<double>(rep.violations.size())) + ",";
+        body +=
+            json::number(static_cast<double>(rep.violations.size())) + ",";
         key(body, "mape");
         body += '{';
         for (size_t m = 0; m < kNumAccuracyMetrics; ++m) {
@@ -978,7 +972,7 @@ struct Server::Impl {
                 body += ',';
             body += json::quote(std::string(accuracyMetricName(
                         static_cast<AccuracyMetric>(m)))) +
-                    ":" + num(rep.summary[m].mape);
+                    ":" + json::number(rep.summary[m].mape);
         }
         body += '}';
         return Status();
@@ -995,12 +989,12 @@ struct Server::Impl {
         }
         auto field = [&](std::string_view k, uint64_t v, bool comma) {
             key(body, k);
-            body += num(static_cast<double>(v));
+            body += json::number(static_cast<double>(v));
             if (comma)
                 body += ',';
         };
         key(body, "uptime_ms");
-        body += num(s.uptimeMs) + ",";
+        body += json::number(s.uptimeMs) + ",";
         field("connections", s.connections, true);
         field("requests", s.requests, true);
         field("served", s.served, true);
@@ -1014,7 +1008,8 @@ struct Server::Impl {
         field("bytes_in", s.bytesIn, true);
         field("bytes_out", s.bytesOut, true);
         key(body, "queue_depth");
-        body += num(static_cast<double>(met.queueDepth.value())) + ",";
+        body +=
+            json::number(static_cast<double>(met.queueDepth.value())) + ",";
         key(body, "profiles");
         body += '[';
         for (size_t i = 0; i < names.size(); ++i) {
@@ -1035,7 +1030,7 @@ struct Server::Impl {
                                    format +
                                    "' (json|prometheus|both)");
         key(body, "uptime_ms");
-        body += num(uptimeMsNow());
+        body += json::number(uptimeMsNow());
         if (format == "json" || format == "both") {
             body += ',';
             key(body, "metrics");

@@ -77,6 +77,8 @@
 #include <string>
 
 #include "profiler/profile_io.hh"
+#include "uarch/core_config.hh"
+#include "util/json.hh"
 #include "util/status.hh"
 
 namespace mipp::serve {
@@ -154,6 +156,15 @@ class Server
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
+
+/**
+ * The design point a request's `config` member names: the Nehalem
+ * reference with `width`, `rob`, `l1d_kb`, `l2_kb`, `l3_mb`, `freq_ghz`
+ * and `prefetcher` applied, every number checked against its range
+ * (InvalidArgument otherwise). A null @p v is the reference itself.
+ * `mipp_cli evaluate` maps its flags onto the same members.
+ */
+Status parseConfigJson(const json::Value &v, CoreConfig &cfg);
 
 /**
  * Minimal blocking JSON-lines client (tests, bench, tooling). Not

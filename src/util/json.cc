@@ -1,9 +1,11 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace mipp::json {
 
@@ -250,6 +252,23 @@ parse(std::string_view text, Value &out, const ParseLimits &limits)
     return Status::ok();
 }
 
+Status
+parseFile(const std::string &path, Value &out, const ParseLimits &limits)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return invalidArgument("cannot read " + path);
+    std::string text;
+    char buf[1 << 16];
+    while (text.size() <= limits.maxBytes &&
+           (in.read(buf, sizeof buf) || in.gcount() > 0))
+        text.append(buf, static_cast<size_t>(in.gcount()));
+    Status st = parse(text, out, limits);
+    if (!st.isOk())
+        return {st.code(), path + ": " + st.message()};
+    return st;
+}
+
 std::string
 quote(std::string_view s)
 {
@@ -277,6 +296,30 @@ quote(std::string_view s)
     }
     out += '"';
     return out;
+}
+
+std::string
+number(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    double a = std::fabs(v);
+    auto format = a == 0 || (a >= 1e-6 && a < 1e21)
+                      ? std::chars_format::fixed
+                      : std::chars_format::scientific;
+    char buf[64];
+    auto res = std::to_chars(buf, buf + sizeof buf, v, format);
+    return std::string(buf, res.ptr);
+}
+
+std::string
+number(double v, int precision)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+    return buf;
 }
 
 } // namespace mipp::json

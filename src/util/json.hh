@@ -1,16 +1,18 @@
 /**
  * @file
- * Minimal JSON value model + parser for the serve wire protocol.
+ * Minimal JSON value model, parser and formatting helpers: the one JSON
+ * implementation in the repo.
  *
- * The validation harnesses only ever *emit* JSON (validate/json_util.hh);
- * the server also has to *parse* untrusted request lines. This is a
- * small, strict, non-throwing recursive-descent parser over a DOM-style
- * value: objects, arrays, strings (with escapes; \uXXXX accepted and
- * mapped to UTF-8 for the BMP, surrogate pairs rejected as malformed),
- * doubles, bools, null. Limits are explicit — maximum nesting depth and
- * input size are enforced so attacker-shaped bytes cannot recurse or
- * allocate unboundedly; failures come back as a Status (Corrupt /
- * ResourceExhausted), never an exception or UB.
+ * The server parses untrusted request lines with it, and the validation
+ * harnesses read their accuracy / calibration reports back with it;
+ * every writer escapes through quote() and formats through number().
+ * The parser is a small, strict, non-throwing recursive-descent parser
+ * over a DOM-style value: objects, arrays, strings (with escapes;
+ * \uXXXX accepted and mapped to UTF-8 for the BMP, surrogate pairs
+ * rejected as malformed), doubles, bools, null. Limits are explicit —
+ * maximum nesting depth and input size are enforced so attacker-shaped
+ * bytes cannot recurse or allocate unboundedly; failures come back as a
+ * Status (Corrupt / ResourceExhausted), never an exception or UB.
  */
 
 #ifndef MIPP_UTIL_JSON_HH
@@ -128,8 +130,25 @@ struct ParseLimits {
 Status parse(std::string_view text, Value &out,
              const ParseLimits &limits = {});
 
+/** parse() the whole file at @p path; reading stops once past
+ *  limits.maxBytes. InvalidArgument when it cannot be opened; parse
+ *  failures name the path. */
+Status parseFile(const std::string &path, Value &out,
+                 const ParseLimits &limits = {});
+
 /** Serialize a string with JSON escaping, including quotes. */
 std::string quote(std::string_view s);
+
+/**
+ * A JSON number: the shortest text that parses back to exactly @p v
+ * (fixed notation for magnitudes in [1e-6, 1e21), else scientific), or
+ * `null` when @p v is not finite.
+ */
+std::string number(double v);
+
+/** A JSON number at a fixed @p precision (printf `%.*g`), `null` when
+ *  @p v is not finite. For wire formats whose text is pinned. */
+std::string number(double v, int precision);
 
 } // namespace mipp::json
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -14,17 +13,16 @@
 #include "profiler/profiler.hh"
 #include "trace/mtf.hh"
 #include "uarch/design_space.hh"
+#include "util/json.hh"
 #include "util/status.hh"
 #include "util/thread_pool.hh"
-#include "validate/json_util.hh"
 #include "workloads/workload.hh"
 
 namespace mipp {
 
 namespace {
 
-using jsonutil::jescape;
-using jsonutil::jnum;
+using json::number;
 
 constexpr std::array<const char *, kNumAccuracyMetrics> kMetricNames = {
     "cpi",  "base", "branch", "icache", "l2hit", "llcHit",
@@ -48,10 +46,10 @@ fmt(const char *f, double a, double b = 0, double c = 0)
 void
 jstack(std::ostringstream &os, const CpiStack &s)
 {
-    os << "{\"base\": " << jnum(s.base) << ", \"branch\": "
-       << jnum(s.branch) << ", \"icache\": " << jnum(s.icache)
-       << ", \"l2hit\": " << jnum(s.l2hit) << ", \"llcHit\": "
-       << jnum(s.llcHit) << ", \"dram\": " << jnum(s.dram) << "}";
+    os << "{\"base\": " << number(s.base) << ", \"branch\": "
+       << number(s.branch) << ", \"icache\": " << number(s.icache)
+       << ", \"l2hit\": " << number(s.l2hit) << ", \"llcHit\": "
+       << number(s.llcHit) << ", \"dram\": " << number(s.dram) << "}";
 }
 
 void
@@ -443,44 +441,45 @@ accuracyJson(const AccuracyReport &r)
     os << "  \"uops\": " << r.uops << ",\n";
     os << "  \"grid\": [";
     for (size_t i = 0; i < r.gridNames.size(); ++i)
-        os << (i ? ", " : "") << '"' << jescape(r.gridNames[i]) << '"';
+        os << (i ? ", " : "") << json::quote(r.gridNames[i]);
     os << "],\n  \"workloads\": [";
     for (size_t i = 0; i < r.workloadNames.size(); ++i)
-        os << (i ? ", " : "") << '"' << jescape(r.workloadNames[i]) << '"';
+        os << (i ? ", " : "") << json::quote(r.workloadNames[i]);
     os << "],\n  \"summary\": {\n";
     for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
         const MetricSummary &s = r.summary[k];
         os << "    \"" << kMetricNames[k] << "\": {\"mape\": "
-           << jnum(s.mape) << ", \"meanSigned\": " << jnum(s.meanSigned)
-           << ", \"maxAbs\": " << jnum(s.maxAbs) << ", \"minSigned\": "
-           << jnum(s.minSigned) << ", \"maxSigned\": " << jnum(s.maxSigned)
-           << "}" << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
+           << number(s.mape) << ", \"meanSigned\": " << number(s.meanSigned)
+           << ", \"maxAbs\": " << number(s.maxAbs) << ", \"minSigned\": "
+           << number(s.minSigned) << ", \"maxSigned\": "
+           << number(s.maxSigned) << "}"
+           << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
     }
     os << "  },\n  \"violations\": [";
     for (size_t i = 0; i < r.violations.size(); ++i)
-        os << (i ? ", " : "") << "\n    \"" << jescape(r.violations[i])
-           << '"';
+        os << (i ? ", " : "") << "\n    " << json::quote(r.violations[i]);
     os << (r.violations.empty() ? "" : "\n  ") << "],\n  \"points\": [";
     for (size_t i = 0; i < r.points.size(); ++i) {
         const PointAccuracy &p = r.points[i];
-        os << (i ? "," : "") << "\n    {\"workload\": \""
-           << jescape(p.workload) << "\", \"config\": \""
-           << jescape(p.config) << "\",\n     \"simCpi\": "
-           << jnum(p.simCpi) << ", \"modelCpi\": " << jnum(p.modelCpi)
-           << ", \"simWatts\": " << jnum(p.simWatts)
-           << ", \"modelWatts\": " << jnum(p.modelWatts) << ",\n"
+        os << (i ? "," : "") << "\n    {\"workload\": "
+           << json::quote(p.workload) << ", \"config\": "
+           << json::quote(p.config) << ",\n     \"simCpi\": "
+           << number(p.simCpi) << ", \"modelCpi\": " << number(p.modelCpi)
+           << ", \"simWatts\": " << number(p.simWatts)
+           << ", \"modelWatts\": " << number(p.modelWatts) << ",\n"
            << "     \"simStack\": ";
         jstack(os, p.simStack);
         os << ", \"modelStack\": ";
         jstack(os, p.modelStack);
-        os << ",\n     \"simMr\": [" << jnum(p.simMr[0]) << ", "
-           << jnum(p.simMr[1]) << ", " << jnum(p.simMr[2])
-           << "], \"modelMr\": [" << jnum(p.modelMr[0]) << ", "
-           << jnum(p.modelMr[1]) << ", " << jnum(p.modelMr[2]) << "],\n"
+        os << ",\n     \"simMr\": [" << number(p.simMr[0]) << ", "
+           << number(p.simMr[1]) << ", " << number(p.simMr[2])
+           << "], \"modelMr\": [" << number(p.modelMr[0]) << ", "
+           << number(p.modelMr[1]) << ", " << number(p.modelMr[2])
+           << "],\n"
            << "     \"err\": {";
         for (size_t k = 0; k < kNumAccuracyMetrics; ++k)
             os << (k ? ", " : "") << '"' << kMetricNames[k]
-               << "\": " << jnum(p.err[k]);
+               << "\": " << number(p.err[k]);
         os << "}}";
     }
     os << (r.points.empty() ? "" : "\n  ") << "]\n}\n";
@@ -497,124 +496,76 @@ writeAccuracyJson(const AccuracyReport &r, const std::string &path)
     return static_cast<bool>(out);
 }
 
-std::map<std::string, double>
-loadBaselineMapes(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot read baseline " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string text = buf.str();
+namespace {
 
-    size_t s = text.find("\"summary\"");
-    if (s == std::string::npos)
+/** The golden's per-metric MAPEs; a metric without one is not
+ *  recorded. */
+std::map<std::string, double>
+baselineMapes(const json::Value &doc, const std::string &path)
+{
+    const json::Value &summary = doc["summary"];
+    if (!summary.isObject())
         throw std::runtime_error("baseline " + path +
                                  " has no summary section");
-    size_t e = text.find("\"violations\"", s);
-    std::string summary =
-        text.substr(s, e == std::string::npos ? std::string::npos : e - s);
-
     std::map<std::string, double> mapes;
-    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
-        std::string key = std::string("\"") + kMetricNames[k] + "\"";
-        size_t pos = summary.find(key);
-        if (pos == std::string::npos)
-            continue;
-        size_t mp = summary.find("\"mape\"", pos);
-        if (mp == std::string::npos)
-            continue;
-        mp = summary.find(':', mp);
-        if (mp == std::string::npos)
-            continue;
-        mapes[kMetricNames[k]] = std::strtod(summary.c_str() + mp + 1,
-                                             nullptr);
-    }
+    for (const char *name : kMetricNames)
+        if (const json::Value &m = summary[name]["mape"]; m.isNumber())
+            mapes[name] = m.number();
     if (mapes.empty())
         throw std::runtime_error("baseline " + path +
                                  " contains no metric MAPEs");
     return mapes;
 }
 
-namespace {
-
-/** Parse a top-level `"key": ["a", "b", ...]` string array out of a
- *  baseline JSON (tolerant: absent key yields an empty list). */
 std::vector<std::string>
-baselineStringArray(const std::string &text, const std::string &key)
+strings(const json::Value &v)
 {
     std::vector<std::string> out;
-    size_t g = text.find("\"" + key + "\"");
-    if (g == std::string::npos)
-        return out;
-    size_t open = text.find('[', g);
-    size_t close = text.find(']', g);
-    if (open == std::string::npos || close == std::string::npos)
-        return out;
-    size_t pos = open;
-    while (true) {
-        size_t q1 = text.find('"', pos);
-        if (q1 == std::string::npos || q1 > close)
-            break;
-        size_t q2 = text.find('"', q1 + 1);
-        if (q2 == std::string::npos || q2 > close)
-            break;
-        out.push_back(text.substr(q1 + 1, q2 - q1 - 1));
-        pos = q2 + 1;
-    }
+    for (const json::Value &e : v.array())
+        out.push_back(e.str());
     return out;
 }
 
-size_t
-baselineUops(const std::string &text)
-{
-    if (size_t u = text.find("\"uops\""); u != std::string::npos) {
-        if (size_t c = text.find(':', u); c != std::string::npos)
-            return std::strtoull(text.c_str() + c + 1, nullptr, 10);
-    }
-    return 0;
-}
-
 } // namespace
+
+std::map<std::string, double>
+loadBaselineMapes(const std::string &path)
+{
+    json::Value doc;
+    throwIfError(json::parseFile(path, doc));
+    return baselineMapes(doc, path);
+}
 
 std::vector<std::string>
 compareToBaseline(const AccuracyReport &r, const std::string &baselinePath,
                   double marginPct)
 {
+    json::Value doc;
+    throwIfError(json::parseFile(baselinePath, doc));
     std::vector<std::string> regressions;
 
     // Provenance: MAPEs from a different grid or trace length are not
     // comparable point-for-point; fail loudly instead of gating noise.
-    {
-        std::ifstream in(baselinePath);
-        if (!in)
-            throw std::runtime_error("cannot read baseline " +
-                                     baselinePath);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        const std::string text = buf.str();
-        size_t goldenUops = baselineUops(text);
-        auto goldenGrid = baselineStringArray(text, "grid");
-        auto goldenWorkloads = baselineStringArray(text, "workloads");
-        if (goldenUops != 0 && goldenUops != r.uops)
-            regressions.push_back(
-                fmt("baseline recorded at %.0f uops, report ran %.0f — "
-                    "rerun with matching --uops",
-                    double(goldenUops), double(r.uops)));
-        if (!goldenGrid.empty() && goldenGrid != r.gridNames)
-            regressions.push_back(
-                "baseline recorded on a different design-point grid — "
-                "rerun with the matching --grid");
-        if (!goldenWorkloads.empty() &&
-            goldenWorkloads != r.workloadNames)
-            regressions.push_back(
-                "baseline recorded over a different workload set — "
-                "rerun without --workload/--no-phased filters");
-        if (!regressions.empty())
-            return regressions;
-    }
+    // An absent key was not recorded.
+    double goldenUops = doc.numberOr("uops", 0);
+    if (goldenUops != 0 && goldenUops != double(r.uops))
+        regressions.push_back(
+            fmt("baseline recorded at %.0f uops, report ran %.0f — "
+                "rerun with matching --uops",
+                goldenUops, double(r.uops)));
+    if (doc["grid"].isArray() && strings(doc["grid"]) != r.gridNames)
+        regressions.push_back(
+            "baseline recorded on a different design-point grid — "
+            "rerun with the matching --grid");
+    if (doc["workloads"].isArray() &&
+        strings(doc["workloads"]) != r.workloadNames)
+        regressions.push_back(
+            "baseline recorded over a different workload set — "
+            "rerun without --workload/--no-phased filters");
+    if (!regressions.empty())
+        return regressions;
 
-    std::map<std::string, double> golden = loadBaselineMapes(baselinePath);
+    std::map<std::string, double> golden = baselineMapes(doc, baselinePath);
     for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
         auto it = golden.find(kMetricNames[k]);
         if (it == golden.end())

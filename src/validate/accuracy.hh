@@ -213,15 +213,18 @@ std::string accuracyJson(const AccuracyReport &r);
 bool writeAccuracyJson(const AccuracyReport &r, const std::string &path);
 
 /** Load the per-metric MAPEs from a golden baseline JSON written by
- *  writeAccuracyJson(). Throws std::runtime_error on unreadable input. */
+ *  writeAccuracyJson(); a metric without a numeric "mape" is skipped.
+ *  Throws std::runtime_error on unreadable or malformed input. */
 std::map<std::string, double> loadBaselineMapes(const std::string &path);
 
 /**
  * Regression gate: compare a fresh report's suite MAPEs against a golden
  * baseline. @return one entry per regressed metric (fresh MAPE exceeds
- * golden MAPE + @p marginPct percentage points); empty = pass. When the
- * golden records its provenance (uops, grid), a mismatching report fails
- * the gate outright — MAPEs from different grids are not comparable.
+ * golden MAPE + @p marginPct percentage points); empty = pass. Reports
+ * store their MAPEs exactly, so a report passes against itself at
+ * margin 0. When the golden records its provenance (uops, grid,
+ * workloads), a mismatching report fails the gate outright — MAPEs from
+ * different grids are not comparable. Throws like loadBaselineMapes.
  */
 std::vector<std::string> compareToBaseline(const AccuracyReport &r,
                                            const std::string &baselinePath,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -12,28 +11,20 @@
 #include "model/eval_cache.hh"
 #include "obs/trace.hh"
 #include "profiler/profiler.hh"
+#include "util/json.hh"
 #include "util/thread_pool.hh"
-#include "validate/json_util.hh"
 #include "workloads/workload.hh"
 
 namespace mipp {
 
 namespace {
 
-using jsonutil::jescape;
+using json::number;
 
 size_t
 mi(AccuracyMetric m)
 {
     return static_cast<size_t>(m);
-}
-
-/** %.17g: 17 significant digits make loadCalibrationJson a lossless
- *  inverse (the round-trip test relies on it). */
-std::string
-jnum(double v)
-{
-    return jsonutil::jnum(v, "%.17g");
 }
 
 constexpr size_t kNumKinds =
@@ -293,36 +284,36 @@ calibrationJson(const CalibrationReport &r)
     os << "  \"uops\": " << r.uops << ",\n";
     os << "  \"grid\": [";
     for (size_t i = 0; i < r.gridNames.size(); ++i)
-        os << (i ? ", " : "") << '"' << jescape(r.gridNames[i]) << '"';
+        os << (i ? ", " : "") << json::quote(r.gridNames[i]);
     os << "],\n  \"workloads\": [";
     for (size_t i = 0; i < r.workloadNames.size(); ++i)
-        os << (i ? ", " : "") << '"' << jescape(r.workloadNames[i]) << '"';
+        os << (i ? ", " : "") << json::quote(r.workloadNames[i]);
     os << "],\n  \"calibration\": {"
-       << "\"penaltyScale\": " << jnum(r.cal.penaltyScale)
-       << ", \"baseWindowFrac\": " << jnum(r.cal.baseWindowFrac)
-       << ", \"mlpWindowFrac\": " << jnum(r.cal.mlpWindowFrac)
-       << ", \"shadowScale\": " << jnum(r.cal.shadowScale)
-       << ", \"busQueueScale\": " << jnum(r.cal.busQueueScale)
-       << ", \"coldInject\": " << jnum(r.cal.coldInject) << "},\n";
+       << "\"penaltyScale\": " << number(r.cal.penaltyScale)
+       << ", \"baseWindowFrac\": " << number(r.cal.baseWindowFrac)
+       << ", \"mlpWindowFrac\": " << number(r.cal.mlpWindowFrac)
+       << ", \"shadowScale\": " << number(r.cal.shadowScale)
+       << ", \"busQueueScale\": " << number(r.cal.busQueueScale)
+       << ", \"coldInject\": " << number(r.cal.coldInject) << "},\n";
     os << "  \"branchFits\": [";
     for (size_t i = 0; i < r.branchFits.size(); ++i) {
         const BranchMissModel &m = r.branchFits[i];
         os << (i ? "," : "") << "\n    {\"kind\": \""
            << branchPredictorName(m.kind) << "\", \"slope\": "
-           << jnum(m.slope) << ", \"intercept\": " << jnum(m.intercept)
-           << ", \"knee\": " << jnum(m.knee) << ", \"kneeSlope\": "
-           << jnum(m.kneeSlope) << ", \"r2\": "
-           << jnum(i < r.branchR2.size() ? r.branchR2[i] : 0) << "}";
+           << number(m.slope) << ", \"intercept\": " << number(m.intercept)
+           << ", \"knee\": " << number(m.knee) << ", \"kneeSlope\": "
+           << number(m.kneeSlope) << ", \"r2\": "
+           << number(i < r.branchR2.size() ? r.branchR2[i] : 0) << "}";
     }
     os << (r.branchFits.empty() ? "" : "\n  ") << "],\n";
     os << "  \"branchPoints\": [";
     for (size_t i = 0; i < r.branchPoints.size(); ++i) {
         const EntropyObservation &o = r.branchPoints[i];
         os << (i ? "," : "") << "\n    {\"kind\": \""
-           << branchPredictorName(o.kind) << "\", \"workload\": \""
-           << jescape(o.workload) << "\", \"entropy\": "
-           << jnum(o.entropy) << ", \"missRate\": "
-           << jnum(o.simMissRate) << "}";
+           << branchPredictorName(o.kind) << "\", \"workload\": "
+           << json::quote(o.workload) << ", \"entropy\": "
+           << number(o.entropy) << ", \"missRate\": "
+           << number(o.simMissRate) << "}";
     }
     os << (r.branchPoints.empty() ? "" : "\n  ") << "],\n";
     auto emitMetrics = [&](const auto &summary, const char *indent) {
@@ -330,11 +321,11 @@ calibrationJson(const CalibrationReport &r)
             const MetricSummary &s = summary[k];
             os << indent << "\""
                << accuracyMetricName(static_cast<AccuracyMetric>(k))
-               << "\": {\"mape\": " << jnum(s.mape)
-               << ", \"meanSigned\": " << jnum(s.meanSigned)
-               << ", \"maxAbs\": " << jnum(s.maxAbs)
-               << ", \"minSigned\": " << jnum(s.minSigned)
-               << ", \"maxSigned\": " << jnum(s.maxSigned) << "}"
+               << "\": {\"mape\": " << number(s.mape)
+               << ", \"meanSigned\": " << number(s.meanSigned)
+               << ", \"maxAbs\": " << number(s.maxAbs)
+               << ", \"minSigned\": " << number(s.minSigned)
+               << ", \"maxSigned\": " << number(s.maxSigned) << "}"
                << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
         }
     };
@@ -350,8 +341,8 @@ calibrationJson(const CalibrationReport &r)
         os << "  \"gridChecks\": [";
         for (size_t i = 0; i < r.gridChecks.size(); ++i) {
             const CalibrationReport::GridCheck &gc = r.gridChecks[i];
-            os << (i ? "," : "") << "\n    {\"grid\": \""
-               << jescape(gc.grid) << "\", \"summary\": {\n";
+            os << (i ? "," : "") << "\n    {\"grid\": "
+               << json::quote(gc.grid) << ", \"summary\": {\n";
             emitMetrics(gc.summary, "      ");
             os << "    }}";
         }
@@ -373,39 +364,19 @@ writeCalibrationJson(const CalibrationReport &r, const std::string &path)
 
 namespace {
 
-/** Value of `"key": <number>` after @p from; NaN when absent. */
-double
-findNum(const std::string &text, const std::string &key, size_t from,
-        size_t limit = std::string::npos)
+/** Fill @p out from a report's summary object; an absent metric or
+ *  field reads 0. */
+void
+readSummary(const json::Value &v,
+            std::array<MetricSummary, kNumAccuracyMetrics> &out)
 {
-    size_t p = text.find("\"" + key + "\"", from);
-    if (p == std::string::npos || p >= limit)
-        return std::nan("");
-    p = text.find(':', p);
-    if (p == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + p + 1, nullptr);
-}
-
-MetricSummary
-parseSummaryEntry(const std::string &text, size_t sectionPos,
-                  size_t sectionEnd, std::string_view metric)
-{
-    MetricSummary s;
-    size_t p = text.find("\"" + std::string(metric) + "\"", sectionPos);
-    if (p == std::string::npos || p >= sectionEnd)
-        return s;
-    size_t end = text.find('}', p);
-    auto get = [&](const char *k) {
-        double v = findNum(text, k, p, end);
-        return std::isnan(v) ? 0.0 : v;
-    };
-    s.mape = get("mape");
-    s.meanSigned = get("meanSigned");
-    s.maxAbs = get("maxAbs");
-    s.minSigned = get("minSigned");
-    s.maxSigned = get("maxSigned");
-    return s;
+    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
+        const json::Value &m =
+            v[accuracyMetricName(static_cast<AccuracyMetric>(k))];
+        out[k] = {m.numberOr("mape", 0), m.numberOr("meanSigned", 0),
+                  m.numberOr("maxAbs", 0), m.numberOr("minSigned", 0),
+                  m.numberOr("maxSigned", 0)};
+    }
 }
 
 } // namespace
@@ -413,116 +384,49 @@ parseSummaryEntry(const std::string &text, size_t sectionPos,
 CalibrationReport
 loadCalibrationJson(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot read calibration " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    if (text.find("mipp-calibration-v1") == std::string::npos)
+    json::Value doc;
+    throwIfError(json::parseFile(path, doc));
+    if (doc["schema"].str() != "mipp-calibration-v1")
         throw std::runtime_error(path + " is not a calibration report");
 
     CalibrationReport r;
-    if (double u = findNum(text, "uops", 0); !std::isnan(u))
-        r.uops = static_cast<size_t>(u);
+    double uops = doc.numberOr("uops", 0);
+    if (!(uops >= 0 && uops < 1e18))
+        throw std::runtime_error(path + ": uops out of range");
+    r.uops = static_cast<size_t>(uops);
 
-    size_t calPos = text.find("\"calibration\"");
-    if (calPos == std::string::npos)
+    const json::Value &cal = doc["calibration"];
+    if (!cal.isObject())
         throw std::runtime_error(path + " has no calibration section");
-    size_t calEnd = text.find('}', calPos);
-    auto coef = [&](const char *k, double fallback) {
-        double v = findNum(text, k, calPos, calEnd);
-        return std::isnan(v) ? fallback : v;
-    };
-    r.cal.penaltyScale = coef("penaltyScale", 1.0);
-    r.cal.baseWindowFrac = coef("baseWindowFrac", 0.0);
-    r.cal.mlpWindowFrac = coef("mlpWindowFrac", 0.0);
-    r.cal.shadowScale = coef("shadowScale", 1.0);
-    r.cal.busQueueScale = coef("busQueueScale", 1.0);
-    r.cal.coldInject = coef("coldInject", 0.0);
+    r.cal.penaltyScale = cal.numberOr("penaltyScale", 1.0);
+    r.cal.baseWindowFrac = cal.numberOr("baseWindowFrac", 0.0);
+    r.cal.mlpWindowFrac = cal.numberOr("mlpWindowFrac", 0.0);
+    r.cal.shadowScale = cal.numberOr("shadowScale", 1.0);
+    r.cal.busQueueScale = cal.numberOr("busQueueScale", 1.0);
+    r.cal.coldInject = cal.numberOr("coldInject", 0.0);
 
-    // Branch fits: scan the array's objects in order.
-    size_t fitsPos = text.find("\"branchFits\"");
-    if (fitsPos != std::string::npos) {
-        size_t fitsEnd = text.find(']', fitsPos);
-        size_t p = fitsPos;
-        while (true) {
-            size_t obj = text.find('{', p);
-            if (obj == std::string::npos || obj >= fitsEnd)
-                break;
-            size_t end = text.find('}', obj);
-            BranchMissModel m;
-            size_t kq = text.find("\"kind\"", obj);
-            if (kq != std::string::npos && kq < end) {
-                size_t q1 = text.find('"', text.find(':', kq));
-                size_t q2 = text.find('"', q1 + 1);
-                std::string kindName = text.substr(q1 + 1, q2 - q1 - 1);
-                for (size_t k = 0; k < kNumKinds; ++k) {
-                    auto kind = static_cast<BranchPredictorKind>(k);
-                    if (branchPredictorName(kind) == kindName)
-                        m.kind = kind;
-                }
-            }
-            auto num = [&](const char *k, double fb) {
-                double v = findNum(text, k, obj, end);
-                return std::isnan(v) ? fb : v;
-            };
-            m.slope = num("slope", m.slope);
-            m.intercept = num("intercept", m.intercept);
-            m.knee = num("knee", m.knee);
-            m.kneeSlope = num("kneeSlope", m.kneeSlope);
-            r.branchFits.push_back(m);
-            r.branchR2.push_back(num("r2", 0.0));
-            p = end + 1;
+    for (const json::Value &f : doc["branchFits"].array()) {
+        BranchMissModel m;
+        for (size_t k = 0; k < kNumKinds; ++k) {
+            auto kind = static_cast<BranchPredictorKind>(k);
+            if (branchPredictorName(kind) == f["kind"].str())
+                m.kind = kind;
         }
+        m.slope = f.numberOr("slope", m.slope);
+        m.intercept = f.numberOr("intercept", m.intercept);
+        m.knee = f.numberOr("knee", m.knee);
+        m.kneeSlope = f.numberOr("kneeSlope", m.kneeSlope);
+        r.branchFits.push_back(m);
+        r.branchR2.push_back(f.numberOr("r2", 0.0));
     }
 
-    auto parseSection = [&](const char *name, auto &out) {
-        size_t pos = text.find("\"" + std::string(name) + "\"");
-        if (pos == std::string::npos)
-            return;
-        // The section closes before the next top-level summary; bound
-        // the per-metric search by the following section or the end.
-        size_t bound = text.find("\"after\"", pos + 1);
-        if (bound == std::string::npos || std::string(name) == "after")
-            bound = text.size();
-        for (size_t k = 0; k < kNumAccuracyMetrics; ++k)
-            out[k] = parseSummaryEntry(
-                text, pos, bound,
-                accuracyMetricName(static_cast<AccuracyMetric>(k)));
-    };
-    parseSection("before", r.before);
-    parseSection("after", r.after);
-
-    // Grid cross-checks: entries delimited by their "grid" keys (the
-    // summary objects nest braces, so scan by key rather than brace).
-    size_t gcPos = text.find("\"gridChecks\"");
-    if (gcPos != std::string::npos) {
-        size_t gcEnd = text.find(']', gcPos);
-        if (gcEnd == std::string::npos)
-            gcEnd = text.size();
-        size_t p = gcPos;
-        while (true) {
-            size_t g = text.find("\"grid\"", p);
-            if (g == std::string::npos || g >= gcEnd)
-                break;
-            size_t q1 = text.find('"', text.find(':', g) + 1);
-            size_t q2 = text.find('"', q1 + 1);
-            if (q1 == std::string::npos || q2 == std::string::npos)
-                break;
-            CalibrationReport::GridCheck gc;
-            gc.grid = text.substr(q1 + 1, q2 - q1 - 1);
-            size_t next = text.find("\"grid\"", q2);
-            size_t bound =
-                (next == std::string::npos || next > gcEnd) ? gcEnd
-                                                            : next;
-            for (size_t k = 0; k < kNumAccuracyMetrics; ++k)
-                gc.summary[k] = parseSummaryEntry(
-                    text, q2, bound,
-                    accuracyMetricName(static_cast<AccuracyMetric>(k)));
-            r.gridChecks.push_back(std::move(gc));
-            p = q2;
-        }
+    readSummary(doc["before"], r.before);
+    readSummary(doc["after"], r.after);
+    for (const json::Value &g : doc["gridChecks"].array()) {
+        CalibrationReport::GridCheck gc;
+        gc.grid = g["grid"].str();
+        readSummary(g["summary"], gc.summary);
+        r.gridChecks.push_back(std::move(gc));
     }
     return r;
 }

@@ -135,8 +135,10 @@ bool writeCalibrationJson(const CalibrationReport &r,
 
 /**
  * Parse a JSON report written by calibrationJson (fits, coefficients,
- * before/after summaries; the branch training points are not restored).
- * Throws std::runtime_error on unreadable or unrecognized input.
+ * before/after summaries, grid checks; the branch training points and
+ * the grid/workload names are not restored). An absent key keeps its
+ * default. Throws std::runtime_error on unreadable or malformed JSON and
+ * on a document whose "schema" is not "mipp-calibration-v1".
  */
 CalibrationReport loadCalibrationJson(const std::string &path);
 

@@ -193,8 +193,17 @@ TEST_F(AccuracyRun, BaselineGatePassesAgainstItselfAndCatchesRegression)
     std::string path = ::testing::TempDir() + "mipp_accuracy_golden.json";
     ASSERT_TRUE(writeAccuracyJson(rep, path));
 
-    // Same report vs its own golden: no regression at any margin.
+    // Same report vs its own golden: no regression at any margin. The
+    // report stores its MAPEs exactly, so that includes margin 0.
     EXPECT_TRUE(compareToBaseline(rep, path, 0.5).empty());
+    EXPECT_TRUE(compareToBaseline(rep, path, 0.0).empty());
+
+    // Names are escaped on the way out and unescaped on the way in: a
+    // workload name with a quote still matches itself.
+    AccuracyReport quoted = rep;
+    quoted.workloadNames[0] = "trace \"q\" \\ 1";
+    ASSERT_TRUE(writeAccuracyJson(quoted, path));
+    EXPECT_TRUE(compareToBaseline(quoted, path, 0.0).empty());
 
     // A golden claiming near-zero error everywhere: the fresh report
     // must trip the gate on at least the CPI metric.
@@ -233,6 +242,13 @@ TEST_F(AccuracyRun, BaselineGateRejectsMismatchedWorkloadSet)
     std::string path = ::testing::TempDir() + "mipp_accuracy_wl.json";
     ASSERT_TRUE(writeAccuracyJson(other, path));
     auto fails = compareToBaseline(rep, path, 100.0);
+    ASSERT_FALSE(fails.empty());
+    EXPECT_NE(fails[0].find("workload set"), std::string::npos);
+
+    // A bracket inside a name must not end the golden's list early.
+    other.workloadNames = {"run[2]", "stream_add", "branchy"};
+    ASSERT_TRUE(writeAccuracyJson(other, path));
+    fails = compareToBaseline(rep, path, 100.0);
     ASSERT_FALSE(fails.empty());
     EXPECT_NE(fails[0].find("workload set"), std::string::npos);
     std::remove(path.c_str());

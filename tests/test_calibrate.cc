@@ -240,6 +240,16 @@ TEST(CalibrationReportJson, RoundTripsThroughDisk)
     EXPECT_NEAR(got.gridChecks[0].summary[0].mape, 6.25, 1e-6);
     EXPECT_NEAR(got.gridChecks[0].summary[0].meanSigned, -1.5, 1e-6);
     EXPECT_NEAR(got.gridChecks[0].summary[0].maxSigned, 9.75, 1e-6);
+
+    // A workload named like a report key (a recorded `after.mtf`) must
+    // not be read as that key's section.
+    r.workloadNames = {"a", "after"};
+    ASSERT_TRUE(writeCalibrationJson(r, path));
+    got = loadCalibrationJson(path);
+    std::remove(path.c_str());
+    EXPECT_NEAR(got.before[0].mape, 10.5, 1e-6);
+    EXPECT_NEAR(got.after[0].mape, 4.5, 1e-6);
+    EXPECT_NEAR(got.after[0].maxSigned, 8.5, 1e-6);
 }
 
 TEST(CalibrationReportJson, RejectsForeignJson)
@@ -254,6 +264,18 @@ TEST(CalibrationReportJson, RejectsForeignJson)
         std::fclose(f);
     }
     EXPECT_THROW(loadCalibrationJson(path), std::runtime_error);
+    // The schema is a member, not a substring anywhere in the file, and
+    // malformed JSON is rejected.
+    for (const char *text :
+         {"{\"schema\": \"x\", \"note\": \"mipp-calibration-v1\", "
+          "\"calibration\": {}}",
+          "{\"schema\": \"mipp-calibration-v1\", \"calibration\": {"}) {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(text, f);
+        std::fclose(f);
+        EXPECT_THROW(loadCalibrationJson(path), std::runtime_error) << text;
+    }
     std::remove(path.c_str());
     EXPECT_THROW(loadCalibrationJson("/nonexistent/calib.json"),
                  std::runtime_error);

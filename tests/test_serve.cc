@@ -143,6 +143,57 @@ TEST_F(ServeTest, PingEchoesIdAndRejectsUnknownOps)
     EXPECT_FALSE(r["ok"].boolean());
     EXPECT_EQ(r["code"].str(), "InvalidArgument");
     EXPECT_EQ(r["id"].str(), "x");
+
+    // Pipelined clients match replies on id, so ok and error replies
+    // echo the same number: 11 digits, and 2^53 - 1.
+    for (const char *id : {"12345678901", "9007199254740991"}) {
+        std::string resp;
+        ASSERT_TRUE(c.call(std::string(R"({"op":"ping","id":)") + id + "}",
+                           resp)
+                        .isOk());
+        EXPECT_EQ(resp, std::string(R"({"id":)") + id + R"(,"ok":true})");
+        ASSERT_TRUE(c.call(std::string(R"({"op":"frobnicate","id":)") +
+                               id + "}",
+                           resp)
+                        .isOk());
+        EXPECT_EQ(resp.rfind(std::string(R"({"id":)") + id + ",", 0), 0u)
+            << resp;
+    }
+}
+
+TEST(ServeConfig, ParseConfigJsonChecksEveryKnob)
+{
+    CoreConfig cfg;
+    ASSERT_TRUE(serve::parseConfigJson(json::Value(), cfg).isOk());
+    EXPECT_EQ(cfg.robSize, CoreConfig::nehalemReference().robSize);
+
+    json::Value v;
+    ASSERT_TRUE(json::parse(R"({"width":2,"rob":64,"l1d_kb":16,)"
+                            R"("l2_kb":128,"l3_mb":2,"freq_ghz":1.5,)"
+                            R"("prefetcher":true})",
+                            v)
+                    .isOk());
+    ASSERT_TRUE(serve::parseConfigJson(v, cfg).isOk());
+    EXPECT_EQ(cfg.dispatchWidth, 2u);
+    EXPECT_EQ(cfg.robSize, 64u);
+    EXPECT_EQ(cfg.l1d.sizeBytes, 16u * 1024);
+    EXPECT_EQ(cfg.l2.sizeBytes, 128u * 1024);
+    EXPECT_EQ(cfg.l3.sizeBytes, 2u * 1024 * 1024);
+    EXPECT_EQ(cfg.freqGHz, 1.5);
+    EXPECT_TRUE(cfg.prefetcherEnabled);
+
+    // The values that used to hang or blow up `mipp_cli evaluate`, and
+    // one past each end of every range.
+    for (const char *bad :
+         {R"({"rob":0})", R"({"width":0})", R"({"freq_ghz":0})",
+          R"({"width":17})", R"({"rob":15})", R"({"rob":4097})",
+          R"({"l1d_kb":0})", R"({"l1d_kb":1025})", R"({"l2_kb":15})",
+          R"({"l2_kb":16385})", R"({"l3_mb":0})", R"({"l3_mb":257})",
+          R"({"freq_ghz":10.5})", R"([])"}) {
+        ASSERT_TRUE(json::parse(bad, v).isOk()) << bad;
+        Status st = serve::parseConfigJson(v, cfg);
+        EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << bad;
+    }
 }
 
 TEST_F(ServeTest, MalformedJsonGetsStructuredErrorNotDisconnect)
