@@ -86,7 +86,8 @@ BM_MetricsOverhead(benchmark::State &state)
 {
     // The composite guard: what one serve request pays with no sink
     // installed — op span + histogram, queue-wait record, four counter
-    // bumps. Compare against BM_ServeThroughput's µs/request scale.
+    // bumps. Compare against the per-request latency of the pipeline
+    // benchmark's serve workload (serve.client_p50_ms, perfbench/).
     obs::Registry reg;
     obs::Counter &a = reg.counter("bench_a_total");
     obs::Counter &b = reg.counter("bench_b_total");

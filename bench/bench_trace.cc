@@ -1,18 +1,12 @@
 /**
- * `.mtf` ingestion-throughput benchmarks (items/s = uops/s).
- *
- * BM_MtfEncode measures MtfWriter encoding into a memory buffer,
- * BM_MtfDecode raw MtfReader::decode() over an opened trace, and
- * BM_MtfProfileStream the full ingest path the CLI exercises —
- * MtfTraceSource streamed through profileSource / the parallel
- * profiler. run_benchmarks.sh records the decode rate as the trace
- * ingest-throughput entry in BENCH_speedup.json.
+ * `.mtf` encoding throughput (items/s = uops/s): MtfWriter encoding
+ * into a memory buffer. Opening, decoding and profiling a trace are
+ * timed by the pipeline benchmark's ingest workload (perfbench/).
  */
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
-#include "profiler/profiler.hh"
 #include "trace/mtf.hh"
 #include "workloads/workload.hh"
 
@@ -30,23 +24,10 @@ sharedTrace()
     return t;
 }
 
-/** The shared trace encoded once; parsed per benchmark setup. */
-const std::string &
-sharedMtfBytes()
-{
-    static std::string bytes = [] {
-        std::ostringstream os;
-        Status st = writeMtf(sharedTrace(), os);
-        if (!st.isOk())
-            std::abort();
-        return os.str();
-    }();
-    return bytes;
-}
-
 void
 BM_MtfEncode(benchmark::State &state)
 {
+    int64_t bytes = 0;
     for (auto _ : state) {
         std::ostringstream os;
         MtfWriter w(os);
@@ -54,65 +35,12 @@ BM_MtfEncode(benchmark::State &state)
             w.append(op);
         Status st = w.finish();
         benchmark::DoNotOptimize(st.isOk());
+        bytes = os.tellp();
     }
     state.SetItemsProcessed(state.iterations() * sharedTrace().size());
-    state.SetBytesProcessed(state.iterations() *
-                            sharedMtfBytes().size());
+    state.SetBytesProcessed(state.iterations() * bytes);
 }
 BENCHMARK(BM_MtfEncode)->Unit(benchmark::kMillisecond);
-
-void
-BM_MtfDecode(benchmark::State &state)
-{
-    MtfReader reader;
-    Status st = MtfReader::parse(sharedMtfBytes(), reader);
-    if (!st.isOk())
-        std::abort();
-    std::vector<MicroOp> chunk(65536);
-    for (auto _ : state) {
-        reader.rewind();
-        uint64_t n = 0;
-        for (;;) {
-            size_t got = reader.decode(chunk.data(), chunk.size());
-            if (!got)
-                break;
-            n += got;
-        }
-        benchmark::DoNotOptimize(n);
-    }
-    state.SetItemsProcessed(state.iterations() * sharedTrace().size());
-    state.SetBytesProcessed(state.iterations() *
-                            sharedMtfBytes().size());
-}
-BENCHMARK(BM_MtfDecode)->Unit(benchmark::kMillisecond);
-
-/** Full ingest path: decode + profile, threads = range(0). */
-void
-BM_MtfProfileStream(benchmark::State &state)
-{
-    MtfReader reader;
-    Status st = MtfReader::parse(sharedMtfBytes(), reader);
-    if (!st.isOk())
-        std::abort();
-    unsigned threads = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        MtfTraceSource source(reader);
-        Profile p;
-        if (threads == 1) {
-            p = profileSource(source, {});
-        } else {
-            ParallelProfileOptions popts;
-            popts.threads = threads;
-            p = profileSourceParallel(source, {}, popts);
-        }
-        benchmark::DoNotOptimize(p.profiledUops);
-    }
-    state.SetItemsProcessed(state.iterations() * sharedTrace().size());
-}
-BENCHMARK(BM_MtfProfileStream)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -1,38 +1,40 @@
 #!/usr/bin/env bash
 # Run the google-benchmark binaries and emit BENCH_speedup.json
-# (benchmark -> ns/op, items/s) for the performance trajectory. A
-# "baseline" block already present in the output file (e.g. the
-# pre-optimization numbers) is preserved across runs.
+# (benchmark -> ns/op, items/s): the memo amortization, the
+# observability overhead guards and the seed baseline. Pipeline
+# throughput and per-layer speed are measured by perfbench
+# (BENCHMARK.json, perfbench/ab.py) and are not recorded here.
 #
 # The binary list is DERIVED from bench/*.cc, not hardcoded: every
 # source including <benchmark/benchmark.h> is a google-benchmark binary
-# and is run with the benchmark protocol; every other bench_* source
-# (the bench_fig* / bench_tab* figure generators) must at least exist as
-# a built executable. A new bench source that fails to build, or a
-# google-benchmark binary someone forgets to wire up, fails the run
-# instead of being silently skipped.
+# (the rule CMakeLists.txt uses too) and is run with the benchmark
+# protocol; every other bench_* source (the bench_fig* / bench_tab*
+# figure generators) must at least exist as a built executable. A new
+# bench source that fails to build, or a google-benchmark binary someone
+# forgets to wire up, fails the run instead of being silently skipped.
 #
-# Usage: bench/run_benchmarks.sh [--smoke] [--skip-slow] [build-dir] \
-#                                [output-json]
+# Usage: bench/run_benchmarks.sh [--smoke] [build-dir] [output-json]
 #   --smoke   one repetition with a short min-time, for CI plumbing
 #             checks (this is the same path the build-and-test CI job
 #             runs — there is deliberately no separate filtered
 #             invocation). Numbers are noisy, so smoke runs write
 #             bench_smoke.json (or the given output path) and never
-#             touch BENCH_speedup.json — the recorded trajectory only
-#             ever holds the full 5-repetition protocol. Implies
-#             --skip-slow: a smoke check must not sweep 2^20 points.
-#   --skip-slow  exclude benchmarks tagged slow by name (BM_*Million —
-#             ~1 s per iteration x 5 repetitions) from a full run.
+#             touch BENCH_speedup.json. The run fails when the names it
+#             produced differ from the names BENCH_speedup.json records,
+#             in either direction: a stale or unrecorded entry is an
+#             error, not a detail.
+#
+# A full run records the minimum of 5 repetitions per benchmark, stamps
+# the host and the measured sources (context.host, context.measured_at),
+# keeps the "baseline" block of the existing file, and derives every
+# "speedup" from the numbers of this run.
 set -euo pipefail
 
 SMOKE=0
-SKIP_SLOW=0
 ARGS=()
 for a in "$@"; do
     case "$a" in
-      --smoke) SMOKE=1; SKIP_SLOW=1 ;;
-      --skip-slow) SKIP_SLOW=1 ;;
+      --smoke) SMOKE=1 ;;
       *) ARGS+=("$a") ;;
     esac
 done
@@ -49,13 +51,14 @@ else
 fi
 
 BENCH_SRC_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+ROOT="$(dirname "$BENCH_SRC_DIR")"
 
 # Derive the binary lists from the sources.
 GBENCH_BINS=()
 PLAIN_BINS=()
 for src in "$BENCH_SRC_DIR"/bench_*.cc; do
     name="$(basename "$src" .cc)"
-    if grep -q '#include <benchmark/benchmark.h>' "$src"; then
+    if grep -q '^#include <benchmark/benchmark.h>' "$src"; then
         GBENCH_BINS+=("$name")
     else
         PLAIN_BINS+=("$name")
@@ -82,11 +85,6 @@ if [[ ${#MISSING[@]} -gt 0 ]]; then
 fi
 
 BENCH_FLAGS=(--benchmark_format=json)
-if [[ "$SKIP_SLOW" == 1 ]]; then
-    # Slow-tagged benchmarks are excluded by naming convention: anything
-    # matching BM_.*Million (the 2^20-point generated sweep).
-    BENCH_FLAGS+=(--benchmark_filter=-BM_.*Million)
-fi
 if [[ "$SMOKE" == 1 ]]; then
     # One repetition, short min-time: proves the binaries run and emit
     # parseable JSON without occupying a CI runner for minutes.
@@ -112,47 +110,29 @@ for bin in "${GBENCH_BINS[@]}"; do
     "$BUILD_DIR/$bin" "${BENCH_FLAGS[@]}" >"$raw"
 done
 
-if [[ "$SMOKE" == 1 ]]; then
-    python3 - "$OUT" "${RAWS[@]}" <<'EOF'
-import json, sys
-out_path, raw_paths = sys.argv[1], sys.argv[2:]
-benches = {}
-for raw_path in raw_paths:
-    with open(raw_path) as f:
-        raw = json.load(f)
-    for b in raw.get("benchmarks", []):
-        if b.get("aggregate_name"):
-            continue
-        scale = {"ns": 1e-6, "us": 1e-3, "ms": 1,
-                 "s": 1e3}[b.get("time_unit", "ns")]
-        ms = b["real_time"] * scale
-        benches[b["run_name"]] = {"ms_per_op": ms}
-        print(f"{b['run_name']}: {ms:.6f} ms/op")
-with open(out_path, "w") as f:
-    json.dump({"protocol": "smoke (1 repetition, not comparable)",
-               "benchmarks": benches}, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(f"smoke run OK (wrote {out_path}; trajectory JSON untouched)")
-EOF
-    exit 0
-fi
-
-MIPP_SKIP_SLOW="$SKIP_SLOW" python3 - "$OUT" "${RAW_ARGS[@]}" <<'EOF'
+MIPP_ROOT="$ROOT" MIPP_SMOKE="$SMOKE" python3 - "$OUT" "${RAW_ARGS[@]}" <<'EOF'
 import json
 import os
-import re
 import sys
 
+root = os.environ["MIPP_ROOT"]
+smoke = os.environ["MIPP_SMOKE"] == "1"
 out_path, raw_args = sys.argv[1], sys.argv[2:]
-skip_slow = os.environ.get("MIPP_SKIP_SLOW") == "1"
 
-old = {}
-try:
-    with open(out_path) as f:
-        old = json.load(f)
-except (OSError, ValueError):
-    pass
-old_names = set(old.get("benchmarks", {}))
+# One host fingerprint for both benchmark runners; no __pycache__ may
+# land under perfbench/.
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(root, "perfbench"))
+from run import cpu_model, source_ids  # noqa: E402
+
+
+def load(path):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError):
+        return {}
+
 
 benches = {}
 context = {}
@@ -167,8 +147,8 @@ for raw_arg in raw_args:
         if b.get("aggregate_name"):  # keep raw repetitions only
             continue
         name = b["run_name"]
-        # real_time is in the benchmark's own unit (our older binaries
-        # set kMillisecond, bench_metrics keeps the ns default).
+        # real_time is in the benchmark's own unit (most binaries set
+        # kMillisecond, bench_metrics keeps the ns default).
         scale = {"ns": 1, "us": 1e3, "ms": 1e6,
                  "s": 1e9}[b.get("time_unit", "ns")]
         entry = {"ns_per_op": b["real_time"] * scale}
@@ -180,61 +160,81 @@ for raw_arg in raw_args:
         contributed += 1
     if contributed == 0:
         empty_bins.append(bin_name)
-
-# Trajectory-gain guard (full protocol only): a binary that emitted no
-# entries, or a merged set that does not cover what the trajectory
-# already records, means a filter/name rot — fail instead of silently
-# writing a shrunken trajectory. A --skip-slow run carries the last
-# full measurement of the slow-tagged benchmarks forward unchanged
-# (they only update on runs without the flag) rather than dropping
-# them.
 if empty_bins:
     sys.exit("error: no benchmark entries from: " + ", ".join(empty_bins))
-if not benches:
-    sys.exit("error: merged benchmark set is empty")
-slow_re = re.compile(r"^BM_.*Million")
-for name in old_names - set(benches):
-    if skip_slow and slow_re.match(name):
-        benches[name] = old["benchmarks"][name]
-    else:
-        sys.exit("error: trajectory entry vanished from this run: "
-                 + name + " (renamed benchmarks need the old entry "
-                 "pruned deliberately, not dropped by accident)")
-
-out = {
-    "context": {
-        "date": context.get("date"),
-        "num_cpus": context.get("num_cpus"),
-        "aggregate": "min of 5 repetitions",
-        "protocol": old.get("context", {}).get("protocol")
-            or "all benchmarks compiled with identical CMake flags (-O2) "
-               "and run in one session; in-binary baseline/optimized "
-               "pairs (e.g. BM_EvalUncached vs BM_EvalCached) are "
-               "interleaved by the benchmark runner itself",
-    },
-    "benchmarks": benches,
-}
-for key in ("baseline", "speedup"):
-    if key in old:
-        out[key] = old[key]
-
-# In-binary baseline/optimized pairs: derive speedups automatically.
-pairs = {"BM_EvalCached": "BM_EvalUncached",
-         "BM_ProfileParallel/2": "BM_ProfileSequential",
-         "BM_ProfileParallel/4": "BM_ProfileSequential"}
-for fast, slow in pairs.items():
-    if fast in benches and slow in benches:
-        out.setdefault("speedup", {})[fast + "_vs_" + slow] = round(
-            benches[slow]["ns_per_op"] / benches[fast]["ns_per_op"], 3)
-
-with open(out_path, "w") as f:
-    json.dump(out, f, indent=2, sort_keys=True)
-    f.write("\n")
 
 for name, e in sorted(benches.items()):
     line = f"{name}: {e['ns_per_op'] / 1e6:.6f} ms/op"
     if "items_per_sec" in e:
         line += f", {e['items_per_sec'] / 1e6:.2f} M items/s"
     print(line)
+
+if smoke:
+    with open(out_path, "w") as f:
+        json.dump({"protocol": "smoke (1 repetition, not comparable)",
+                   "benchmarks": benches}, f, indent=2, sort_keys=True)
+        f.write("\n")
+    # Stale-entry guard: every benchmark runs in smoke, so the recorded
+    # trajectory must name exactly the benchmarks that exist.
+    recorded = set(load(os.path.join(root, "BENCH_speedup.json"))
+                   .get("benchmarks", {}))
+    stale = sorted(recorded - set(benches))
+    unrecorded = sorted(set(benches) - recorded)
+    if stale or unrecorded:
+        sys.exit("error: BENCH_speedup.json does not match this run\n"
+                 f"  recorded but not run: {', '.join(stale) or '-'}\n"
+                 f"  run but not recorded: {', '.join(unrecorded) or '-'}\n"
+                 "(re-measure with the full protocol and prune renamed "
+                 "or deleted entries deliberately)")
+    print(f"smoke run OK (wrote {out_path}; trajectory JSON untouched)")
+    sys.exit(0)
+
+# Vanished-entry guard (full protocol): a trajectory entry this run did
+# not produce means a filter or name rot; fail instead of silently
+# writing a shrunken trajectory.
+old = load(out_path)
+vanished = sorted(set(old.get("benchmarks", {})) - set(benches))
+if vanished:
+    sys.exit("error: trajectory entries vanished from this run: "
+             + ", ".join(vanished) + " (renamed benchmarks need the old "
+             "entry pruned deliberately, not dropped by accident)")
+
+sha, digest = source_ids()
+out = {
+    "context": {
+        "date": context.get("date"),
+        "host": {"cpu_model": cpu_model(), "nproc": os.cpu_count()},
+        # One stamp covers every entry: each full run measures them all.
+        "measured_at": {"git_sha": sha, "source_digest": digest},
+        "aggregate": "min of 5 repetitions",
+        "protocol": "all benchmarks compiled with identical CMake flags "
+                    "(-O2) and run in one session; in-binary "
+                    "baseline/optimized pairs (BM_EvalUncached vs "
+                    "BM_EvalCached) are interleaved by the benchmark "
+                    "runner itself",
+    },
+    "benchmarks": benches,
+}
+
+# Speedups come from this run only: the in-binary pair, and each
+# baseline entry against the same benchmark now.
+speedup = {}
+cached = benches.get("BM_EvalCached")
+uncached = benches.get("BM_EvalUncached")
+if cached and uncached:
+    speedup["BM_EvalCached_vs_BM_EvalUncached"] = round(
+        uncached["ns_per_op"] / cached["ns_per_op"], 3)
+if "baseline" in old:
+    out["baseline"] = old["baseline"]
+    for name, e in old["baseline"].get("benchmarks", {}).items():
+        if name in benches:
+            speedup[name] = round(
+                e["ns_per_op"] / benches[name]["ns_per_op"], 3)
+if speedup:
+    out["speedup"] = speedup
+
+with open(out_path, "w") as f:
+    json.dump(out, f, indent=2, sort_keys=True)
+    f.write("\n")
 print(f"wrote {out_path}")
 EOF

@@ -164,13 +164,13 @@ cmdProfile(int argc, char **argv)
 {
     size_t uops = 200000;
     ParallelProfileOptions popts;
-    unsigned threads = 1; // sequential by default: fully reproducible
-                          // timing, and small workloads gain nothing
+    popts.threads = 1; // sequential by default: fully reproducible
+                       // timing, and small workloads gain nothing
     std::string tracePath, name, outPath;
     std::vector<std::string> positional;
     for (int i = 0; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            threads = static_cast<unsigned>(
+            popts.threads = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 10));
         } else if (!std::strcmp(argv[i], "--segment-uops") &&
                    i + 1 < argc) {
@@ -186,7 +186,6 @@ cmdProfile(int argc, char **argv)
             return usage();
         }
     }
-    popts.threads = threads;
 
     // With --trace the positionals are <out> [uops-ignored]; otherwise
     // <workload> <out> [uops].
@@ -206,8 +205,7 @@ cmdProfile(int argc, char **argv)
         cfg.name = name;
         // Streaming ingestion: O(segment) resident uops; bit-identical
         // across thread counts (the parallel parity suite pins this).
-        p = threads == 1 ? profileSource(*source, cfg)
-                         : profileSourceParallel(*source, cfg, popts);
+        p = profileSourceParallel(*source, cfg, popts);
         gotUops = static_cast<size_t>(source->info().uopCount);
     } else {
         outPath = positional[1];
@@ -217,10 +215,8 @@ cmdProfile(int argc, char **argv)
         if (name.empty())
             name = spec.name;
         Trace t = generateWorkload(spec, uops);
-        // Bit-identical either way; --threads only changes wall-clock.
-        p = threads == 1
-                ? profileTrace(t, {.name = name})
-                : profileTraceParallel(t, {.name = name}, popts);
+        // Bit-identical at any --threads; it only changes wall-clock.
+        p = profileTraceParallel(t, {.name = name}, popts);
         gotUops = t.size();
     }
     if (!saveProfile(p, outPath)) {

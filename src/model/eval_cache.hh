@@ -337,7 +337,8 @@ ModelResult evaluateModel(EvalContext &ctx, const CoreConfig &cfg,
 
 /**
  * evaluateModel filling @p res in place (clearing reused buffers), so
- * batch loops can recycle one ModelResult.
+ * batch loops can recycle one ModelResult. Every evaluation enters here;
+ * a config with robSize == 0 throws StatusError(InvalidArgument).
  */
 void evaluateModelInto(EvalContext &ctx, const CoreConfig &cfg,
                        const ModelOptions &opts, ModelResult &res);

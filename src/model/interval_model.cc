@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "model/eval_cache.hh"
+#include "util/status.hh"
 
 namespace mipp {
 
@@ -191,6 +192,9 @@ void
 evaluateModelInto(EvalContext &ec, const CoreConfig &cfg,
                   const ModelOptions &opts, ModelResult &res)
 {
+    // The MLP walks step through the stream robSize uops at a time.
+    if (cfg.robSize == 0)
+        throw StatusError(invalidArgument("robSize must be positive"));
     const Profile &p = ec.profile();
     res.windowCpi.clear();
     Scratch ctx(ec, cfg, opts);

@@ -111,7 +111,8 @@ struct ModelResult {
  * scratch. When evaluating many design points against one profile (a
  * design-space sweep), construct an EvalContext and use the overload in
  * model/eval_cache.hh instead — bitwise-identical results, with the
- * per-workload intermediates built once and memoized.
+ * per-workload intermediates built once and memoized. Throws
+ * StatusError(InvalidArgument) when cfg.robSize is 0.
  */
 ModelResult evaluateModel(const Profile &p, const CoreConfig &cfg,
                           const ModelOptions &opts = {});

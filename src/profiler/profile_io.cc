@@ -524,14 +524,6 @@ loadProfileChecked(const std::string &path, Profile &out,
     return readProfileChecked(is, out, limits);
 }
 
-Profile
-readProfile(std::istream &is)
-{
-    Profile p;
-    throwIfError(readProfileChecked(is, p));
-    return p;
-}
-
 bool
 saveProfile(const Profile &profile, const std::string &path)
 {

@@ -75,11 +75,8 @@ Status parseProfile(const std::string &data, Profile &out,
 Status loadProfileChecked(const std::string &path, Profile &out,
                           const ProfileLimits &limits = {});
 
-/**
- * Compatibility wrappers: throw StatusError (a std::runtime_error) on
- * malformed input or I/O failure.
- */
-Profile readProfile(std::istream &is);
+/** loadProfileChecked throwing StatusError (a std::runtime_error) on
+ *  malformed input or I/O failure. */
 Profile loadProfile(const std::string &path);
 
 } // namespace mipp

@@ -33,10 +33,6 @@ struct ProfilerConfig {
     uint32_t historyBits = 8;
     /** History bits for the cheap per-window entropy estimate. */
     uint32_t windowHistoryBits = 4;
-    /** Run the independent per-ROB-size window walks on the shared
-     *  thread pool when the micro-trace is large enough. Results are
-     *  identical either way (each ROB size writes disjoint state). */
-    bool parallelWindows = true;
 };
 
 /** Profile @p trace. Deterministic; no micro-architecture inputs. */

@@ -543,13 +543,12 @@ SegmentProfiler::finishMicroTrace()
 
     // Dependence chains + load-dependence distributions, one pass of
     // stepping windows per profiled ROB size (thesis Alg 3.1, sampled).
-    // The per-size walks are independent; fan them out when the span is
-    // big enough to amortize the dispatch.
+    // The per-size walks are independent (each writes disjoint state);
+    // fan them out when the span is big enough to amortize the dispatch.
     const size_t nSizes = cfg_.robSizes.size();
     const size_t median = nSizes / 2;
     ThreadPool &pool = ThreadPool::shared();
-    if (cfg_.parallelWindows && pool.concurrency() > 1 &&
-        mtLen * nSizes >= (1u << 14)) {
+    if (pool.concurrency() > 1 && mtLen * nSizes >= (1u << 14)) {
         pool.parallelFor(nSizes, 1, [&](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i)
                 walkRobSize(mt, mtLen, i, median, wp);

@@ -801,13 +801,11 @@ struct Server::Impl {
             Status st = MtfTraceSource::open(tracePath, source);
             if (!st.isOk())
                 return st;
-            p = threads == 1 ? profileSource(*source, cfg)
-                             : profileSourceParallel(*source, cfg, popts);
+            p = profileSourceParallel(*source, cfg, popts);
         } else {
             Trace t =
                 generateWorkload(spec, static_cast<size_t>(uops));
-            p = threads == 1 ? profileTrace(t, cfg)
-                             : profileTraceParallel(t, cfg, popts);
+            p = profileTraceParallel(t, cfg, popts);
         }
 
         auto entry = std::make_shared<ProfileEntry>();

@@ -13,6 +13,7 @@
 #include "profiler/profiler.hh"
 #include "trace/rng.hh"
 #include "uarch/design_space.hh"
+#include "util/status.hh"
 #include "workloads/workload.hh"
 
 namespace mipp {
@@ -439,6 +440,19 @@ TEST_F(IntervalModelTest, HigherEntropyFitRaisesBranchComponent)
     auto b =
         evaluateModel(*profile_, CoreConfig::nehalemReference(), high);
     EXPECT_GT(b.stack.branch, a.stack.branch);
+}
+
+TEST_F(IntervalModelTest, ZeroRobSizeIsInvalidArgument)
+{
+    // A zero-uop ROB would stall the MLP window walks forever.
+    CoreConfig cfg = CoreConfig::nehalemReference();
+    cfg.robSize = 0;
+    try {
+        evaluateModel(*profile_, cfg);
+        FAIL() << "robSize 0 was accepted";
+    } catch (const StatusError &e) {
+        EXPECT_EQ(e.code(), StatusCode::InvalidArgument);
+    }
 }
 
 /** Property sweep: the model stays finite and positive across the
