@@ -5,13 +5,11 @@
 # throughput and per-layer speed are measured by perfbench
 # (BENCHMARK.json, perfbench/ab.py) and are not recorded here.
 #
-# The binary list is DERIVED from bench/*.cc, not hardcoded: every
-# source including <benchmark/benchmark.h> is a google-benchmark binary
-# (the rule CMakeLists.txt uses too) and is run with the benchmark
-# protocol; every other bench_* source (the bench_fig* / bench_tab*
-# figure generators) must at least exist as a built executable. A new
-# bench source that fails to build, or a google-benchmark binary someone
-# forgets to wire up, fails the run instead of being silently skipped.
+# Every bench/*.cc is a google-benchmark source and bench_<name> its
+# binary; the list is derived from the sources, so a new benchmark that
+# fails to build or is not wired up fails the run instead of being
+# silently skipped. (The paper figures are one plain program,
+# mipp_figures, built from bench/figures/.)
 #
 # Usage: bench/run_benchmarks.sh [--smoke] [build-dir] [output-json]
 #   --smoke   one repetition with a short min-time, for CI plumbing
@@ -26,8 +24,10 @@
 #
 # A full run records the minimum of 5 repetitions per benchmark, stamps
 # the host and the measured sources (context.host, context.measured_at),
-# keeps the "baseline" block of the existing file, and derives every
-# "speedup" from the numbers of this run.
+# keeps the "baseline" block of the existing file as a record, and
+# derives the one in-binary "speedup" pair from the numbers of this run.
+# No speedup is derived against the baseline: it was measured in a
+# separate, earlier run, and a ratio across runs is not interleaved.
 set -euo pipefail
 
 SMOKE=0
@@ -53,29 +53,21 @@ fi
 BENCH_SRC_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 ROOT="$(dirname "$BENCH_SRC_DIR")"
 
-# Derive the binary lists from the sources.
+# Derive the binary list from the sources. Every derived binary must
+# have been built: a bench source that vanishes from the build is a
+# rotten CMake glob, not an ignorable detail.
 GBENCH_BINS=()
-PLAIN_BINS=()
+MISSING=()
 for src in "$BENCH_SRC_DIR"/bench_*.cc; do
-    name="$(basename "$src" .cc)"
-    if grep -q '^#include <benchmark/benchmark.h>' "$src"; then
-        GBENCH_BINS+=("$name")
-    else
-        PLAIN_BINS+=("$name")
-    fi
+    [[ -e "$src" ]] || continue
+    bin="$(basename "$src" .cc)"
+    GBENCH_BINS+=("$bin")
+    [[ -x "$BUILD_DIR/$bin" ]] || MISSING+=("$bin")
 done
 if [[ ${#GBENCH_BINS[@]} -eq 0 ]]; then
     echo "error: no google-benchmark sources found in $BENCH_SRC_DIR" >&2
     exit 1
 fi
-
-# Every derived binary must have been built: a bench source that vanishes
-# from the build is a rotten CMake glob, not an ignorable detail.
-MISSING=()
-for bin in ${GBENCH_BINS[@]+"${GBENCH_BINS[@]}"} \
-           ${PLAIN_BINS[@]+"${PLAIN_BINS[@]}"}; do
-    [[ -x "$BUILD_DIR/$bin" ]] || MISSING+=("$bin")
-done
 if [[ ${#MISSING[@]} -gt 0 ]]; then
     echo "error: missing bench binaries in $BUILD_DIR:" >&2
     printf '  %s\n' "${MISSING[@]}" >&2
@@ -216,22 +208,16 @@ out = {
     "benchmarks": benches,
 }
 
-# Speedups come from this run only: the in-binary pair, and each
-# baseline entry against the same benchmark now.
-speedup = {}
+# The one speedup is the in-binary pair, interleaved by the benchmark
+# runner. The baseline block is kept as a record only: dividing it by
+# this run's numbers would compare two separate runs.
 cached = benches.get("BM_EvalCached")
 uncached = benches.get("BM_EvalUncached")
 if cached and uncached:
-    speedup["BM_EvalCached_vs_BM_EvalUncached"] = round(
-        uncached["ns_per_op"] / cached["ns_per_op"], 3)
+    out["speedup"] = {"BM_EvalCached_vs_BM_EvalUncached": round(
+        uncached["ns_per_op"] / cached["ns_per_op"], 3)}
 if "baseline" in old:
     out["baseline"] = old["baseline"]
-    for name, e in old["baseline"].get("benchmarks", {}).items():
-        if name in benches:
-            speedup[name] = round(
-                e["ns_per_op"] / benches[name]["ns_per_op"], 3)
-if speedup:
-    out["speedup"] = speedup
 
 with open(out_path, "w") as f:
     json.dump(out, f, indent=2, sort_keys=True)

@@ -83,7 +83,6 @@
 #include "profiler/profile_io.hh"
 #include "profiler/profiler.hh"
 #include "serve/server.hh"
-#include "sweep_flags.hh"
 #include "trace/mtf.hh"
 #include "trace/mtf_text.hh"
 #include "util/failpoint.hh"
@@ -97,6 +96,94 @@
 namespace {
 
 using namespace mipp;
+
+/**
+ * The value of flag argv[i], advancing @p i past it; nullptr after
+ * reporting a missing value, instead of silently parsing it as 0.
+ */
+const char *
+flagValue(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s requires a value\n", argv[i]);
+        return nullptr;
+    }
+    return argv[++i];
+}
+
+/**
+ * The sweep flags shared by `sweep`, `report accuracy` and `report
+ * calibrate`:
+ *
+ *   --mode model|pareto|paired   SweepMode selection
+ *   --streaming                  streaming sweep (ModelOnlyPareto:
+ *                                O(front) memory, no point grid)
+ *   --threads N                  sweep concurrency (0 = all cores)
+ *   --validate N                 off-front validation simulations per
+ *                                workload (ModelThenSimPareto)
+ *   --full                       243-point space instead of the 27-point
+ *                                subspace
+ *   --uops N                     trace length (caller-defined default)
+ */
+struct SweepFlags {
+    SweepOptions sopts{SweepMode::ModelOnly, 0, 2};
+    bool full = false;
+    size_t uops = 0;  ///< caller sets the default before parse()
+
+    /**
+     * Parse @p argv[0..argc); on an unknown flag, print a usage line
+     * prefixed with @p prog and return false.
+     */
+    bool
+    parse(int argc, char **argv, const char *prog)
+    {
+        for (int i = 0; i < argc; ++i) {
+            auto next = [&] { return flagValue(argc, argv, i); };
+            const char *v = nullptr;
+            if (!std::strcmp(argv[i], "--mode")) {
+                if (!(v = next()))
+                    return false;
+                std::string m = v;
+                if (m == "model")
+                    sopts.mode = SweepMode::ModelOnly;
+                else if (m == "pareto")
+                    sopts.mode = SweepMode::ModelThenSimPareto;
+                else if (m == "paired")
+                    sopts.mode = SweepMode::Paired;
+                else {
+                    std::fprintf(stderr, "unknown --mode %s "
+                                 "(model|pareto|paired)\n", v);
+                    return false;
+                }
+            } else if (!std::strcmp(argv[i], "--streaming")) {
+                sopts.mode = SweepMode::ModelOnlyPareto;
+            } else if (!std::strcmp(argv[i], "--threads")) {
+                if (!(v = next()))
+                    return false;
+                sopts.threads = static_cast<unsigned>(std::atoi(v));
+            } else if (!std::strcmp(argv[i], "--validate")) {
+                if (!(v = next()))
+                    return false;
+                sopts.validationSamples =
+                    static_cast<size_t>(std::atoll(v));
+            } else if (!std::strcmp(argv[i], "--full")) {
+                full = true;
+            } else if (!std::strcmp(argv[i], "--uops")) {
+                if (!(v = next()))
+                    return false;
+                uops = std::strtoull(v, nullptr, 10);
+            } else {
+                std::fprintf(stderr,
+                             "usage: %s [--mode model|pareto|paired] "
+                             "[--streaming] [--threads N] [--validate N] "
+                             "[--full] [--uops N]\n",
+                             prog);
+                return false;
+            }
+        }
+        return true;
+    }
+};
 
 int
 usage()
@@ -361,7 +448,7 @@ cmdSweep(int argc, char **argv)
         return usage();
     Profile p = loadProfile(argv[0]);
 
-    examples::SweepFlags flags; // uops 0 = match the profiled length
+    SweepFlags flags; // uops 0 = match the profiled length
     if (!flags.parse(argc - 1, argv + 1, "mipp_cli sweep <profile>"))
         return 2;
     SweepOptions sopts = flags.sopts;
@@ -426,13 +513,7 @@ cmdCalibrate(int argc, char **argv)
 
     std::vector<char *> rest;
     for (int i = 0; i < argc; ++i) {
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", argv[i]);
-                return nullptr;
-            }
-            return argv[++i];
-        };
+        auto next = [&] { return flagValue(argc, argv, i); };
         const char *v = nullptr;
         if (!std::strcmp(argv[i], "--grid")) {
             if (!(v = next()))
@@ -474,7 +555,7 @@ cmdCalibrate(int argc, char **argv)
             rest.push_back(argv[i]);
         }
     }
-    examples::SweepFlags flags;
+    SweepFlags flags;
     flags.uops = copts.uops;
     if (!flags.parse(static_cast<int>(rest.size()), rest.data(),
                      "mipp_cli report calibrate"))
@@ -549,13 +630,7 @@ cmdReportMetrics(int argc, char **argv)
     std::string socketPath, outPath;
     std::string format = "json";
     for (int i = 0; i < argc; ++i) {
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", argv[i]);
-                return nullptr;
-            }
-            return argv[++i];
-        };
+        auto next = [&] { return flagValue(argc, argv, i); };
         const char *v = nullptr;
         if (!std::strcmp(argv[i], "--socket")) {
             if (!(v = next()))
@@ -642,13 +717,7 @@ cmdReport(int argc, char **argv)
     // handed to the shared SweepFlags parser (--uops/--threads/--full).
     std::vector<char *> rest;
     for (int i = 1; i < argc; ++i) {
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", argv[i]);
-                return nullptr;
-            }
-            return argv[++i];
-        };
+        auto next = [&] { return flagValue(argc, argv, i); };
         const char *v = nullptr;
         if (!std::strcmp(argv[i], "--grid")) {
             if (!(v = next()))
@@ -681,7 +750,7 @@ cmdReport(int argc, char **argv)
             rest.push_back(argv[i]);
         }
     }
-    examples::SweepFlags flags;
+    SweepFlags flags;
     flags.uops = aopts.uops;
     if (!flags.parse(static_cast<int>(rest.size()), rest.data(),
                      "mipp_cli report accuracy"))
@@ -777,13 +846,7 @@ cmdServe(int argc, char **argv)
 {
     serve::ServerOptions sopts;
     for (int i = 0; i < argc; ++i) {
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", argv[i]);
-                return nullptr;
-            }
-            return argv[++i];
-        };
+        auto next = [&] { return flagValue(argc, argv, i); };
         const char *v = nullptr;
         if (!std::strcmp(argv[i], "--socket")) {
             if (!(v = next()))
