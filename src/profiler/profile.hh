@@ -393,8 +393,9 @@ struct Profile {
      *
      * Note: staticBranches becomes an upper bound after a merge (the two
      * parts may share static branches); every other field stays exact.
-     * For segment-parallel profiling of ONE trace use profileTraceParallel,
-     * which carries boundary state and is bit-identical to profileTrace.
+     * For segment-parallel profiling of ONE stream use
+     * profileTraceParallel or profileSourceParallel, whose driver carries
+     * boundary state and is bit-identical to profileTrace.
      */
     void merge(const Profile &other);
 };

@@ -1,6 +1,7 @@
 #include "profiler/profiler.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -14,30 +15,105 @@ namespace mipp {
 
 namespace {
 
-/** Requested (or derived) segment span, rounded up to whole windows. */
+/** Requested (or derived) segment span, rounded up to whole windows;
+ *  unsampled profiling is one whole-stream segment. */
 size_t
-segmentSpan(uint64_t totalHint, unsigned threads, size_t winSize,
-            size_t requested)
+segmentSpan(const TraceSource &src, const SamplingConfig &sampling,
+            unsigned threads, size_t requested)
 {
-    uint64_t span;
-    if (requested) {
-        span = requested;
-    } else if (totalHint != TraceSource::kUnknownSize) {
-        span = (totalHint + threads - 1) / threads;
-    } else {
-        // Unknown stream length: big enough to amortize per-segment
-        // boundary resolution, small enough to keep the copy pipeline's
-        // footprint modest (threads * span uops in flight).
-        span = 64 * static_cast<uint64_t>(winSize);
-    }
-    span = (span + winSize - 1) / winSize * winSize;
-    return static_cast<size_t>(std::max<uint64_t>(span, winSize));
+    if (!sampling.sampled())
+        return SIZE_MAX;
+    const uint64_t win = std::max<size_t>(1, sampling.windowSize);
+    const uint64_t total = src.sizeHint();
+    const bool known = total != TraceSource::kUnknownSize;
+    // Parallel: an even split, or (length unknown) 64 windows — enough
+    // to amortize boundary resolution, few enough to keep threads * span
+    // uops in flight modest. Sequential: a span that outlives next() is
+    // free to take whole; a decoded one streams in 16-window chunks,
+    // O(chunk) resident uops at negligible feed() overhead.
+    const uint64_t span =
+        requested     ? requested
+        : threads > 1 ? (known ? (total + threads - 1) / threads : 64 * win)
+        : known && src.spansOutliveNext() ? total
+                                          : 16 * win;
+    return std::max<uint64_t>((span + win - 1) / win * win, win);
 }
 
-unsigned
-effectiveThreads(unsigned requested)
+/**
+ * The next segment of @p span uops (fewer only at the stream's tail).
+ * A span the source yields whole is passed through; a short one in
+ * mid-stream is accumulated in @p buf up to the full span, so every
+ * segment but the last stays window-aligned however the source chunks.
+ * With @p keep the segment always lands in @p buf, so it survives the
+ * source's following next() call.
+ */
+TraceSegment
+pull(TraceSource &src, size_t span, std::vector<MicroOp> &buf, bool keep)
 {
-    return requested ? requested : ThreadPool::shared().concurrency();
+    TraceSegment s = src.next(span);
+    const uint64_t total = src.sizeHint();
+    const bool whole = s.size == span || s.empty() ||
+                       (total != TraceSource::kUnknownSize &&
+                        s.baseUop + s.size >= total);
+    if (whole && !keep)
+        return s;
+    buf.assign(s.data, s.data + s.size);
+    while (!whole && buf.size() < span) {
+        TraceSegment more = src.next(span - buf.size());
+        if (more.empty())
+            break;
+        buf.insert(buf.end(), more.data, more.data + more.size);
+    }
+    return {buf.data(), buf.size(), s.baseUop};
+}
+
+/**
+ * The driver behind every entry point (profiler.hh). Carry segments
+ * profile against unknown prefix state and the head resolves their
+ * boundary records, so the result is bit-identical to one sequential
+ * feed for any window-aligned segmentation — the parity tests pin this.
+ */
+Profile
+profileSegments(TraceSource &src, const ProfilerConfig &cfg,
+                unsigned threads, size_t segmentUops)
+{
+    MIPP_SPAN("profiler.pass");
+    if (!cfg.sampling.sampled())
+        threads = 1; // one whole-stream micro-trace: one contiguous feed
+    const size_t span = segmentSpan(src, cfg.sampling, threads, segmentUops);
+    // A batch's segments must all live until the batch is profiled.
+    const bool keep = threads > 1 && !src.spansOutliveNext();
+    SegmentProfiler head(cfg);
+    std::vector<std::vector<MicroOp>> bufs(threads);
+    std::vector<TraceSegment> batch;
+    std::vector<std::unique_ptr<SegmentProfiler>> segs(threads);
+    for (;;) {
+        batch.clear();
+        while (batch.size() < threads) {
+            TraceSegment s = pull(src, span, bufs[batch.size()], keep);
+            if (s.empty())
+                break;
+            batch.push_back(s);
+        }
+        if (batch.empty())
+            break;
+        if (threads == 1 || (batch.size() == 1 && head.position() == 0)) {
+            head.feed(batch[0].data, batch[0].size);
+            continue;
+        }
+        const uint64_t base = head.position();
+        parallelForShared(batch.size(), threads, [&](size_t b, size_t e) {
+            for (size_t i = b; i < e; ++i) {
+                segs[i] = std::make_unique<SegmentProfiler>(
+                    cfg, SegmentProfiler::Role::Carry, base + i * span);
+                segs[i]->feed(batch[i].data, batch[i].size);
+                segs[i]->seal();
+            }
+        });
+        for (size_t i = 0; i < batch.size(); ++i)
+            head.absorb(std::move(*segs[i]));
+    }
+    return std::move(head).finalize();
 }
 
 } // namespace
@@ -45,146 +121,32 @@ effectiveThreads(unsigned requested)
 Profile
 profileTrace(const Trace &trace, const ProfilerConfig &cfg)
 {
-    MIPP_SPAN("profiler.pass");
-    SegmentProfiler head(cfg);
-    head.feed(trace.data(), trace.size());
-    return std::move(head).finalize();
+    MaterializedTraceSource src(trace);
+    return profileSegments(src, cfg, 1, 0);
 }
 
 Profile
 profileTraceParallel(const Trace &trace, const ProfilerConfig &cfg,
                      const ParallelProfileOptions &opts)
 {
-    const size_t winSize = std::max<size_t>(1, cfg.sampling.windowSize);
-    const unsigned threads = effectiveThreads(opts.threads);
-    // Unsampled profiling forms one whole-stream micro-trace — nothing
-    // to segment; tiny traces are not worth the dispatch.
-    if (!cfg.sampling.sampled() || threads <= 1)
-        return profileTrace(trace, cfg);
-    const size_t span =
-        segmentSpan(trace.size(), threads, winSize, opts.segmentUops);
-    const size_t nSegs = (trace.size() + span - 1) / span;
-    if (nSegs <= 1)
-        return profileTrace(trace, cfg);
-
-    MIPP_SPAN("profiler.pass");
-    // Every segment profiles in Carry role against unknown prefix state;
-    // an empty Head then resolves each segment's boundary records in
-    // stream order. The head path never profiles a uop itself, so the
-    // result is identical for any window-aligned segmentation — the
-    // parity tests pin this against profileTrace bit-for-bit.
-    std::vector<std::unique_ptr<SegmentProfiler>> segs(nSegs);
-    parallelForShared(nSegs, threads, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-            uint64_t base = static_cast<uint64_t>(i) * span;
-            auto seg = std::make_unique<SegmentProfiler>(
-                cfg, SegmentProfiler::Role::Carry, base);
-            seg->feed(trace.data() + base,
-                      std::min<size_t>(span, trace.size() - base));
-            seg->seal();
-            segs[i] = std::move(seg);
-        }
-    });
-    SegmentProfiler head(cfg);
-    for (auto &seg : segs)
-        head.absorb(std::move(*seg));
-    return std::move(head).finalize();
+    MaterializedTraceSource src(trace);
+    return profileSourceParallel(src, cfg, opts);
 }
 
 Profile
 profileSource(TraceSource &source, const ProfilerConfig &cfg)
 {
-    MIPP_SPAN("profiler.pass");
-    const size_t winSize = std::max<size_t>(1, cfg.sampling.windowSize);
-    SegmentProfiler head(cfg);
-    if (!cfg.sampling.sampled()) {
-        // The whole stream is one micro-trace whose span must be
-        // contiguous: accumulate it, then feed once.
-        std::vector<MicroOp> all;
-        uint64_t hint = source.sizeHint();
-        if (hint != TraceSource::kUnknownSize)
-            all.reserve(hint);
-        for (;;) {
-            TraceSegment seg = source.next(winSize);
-            if (seg.empty())
-                break;
-            all.insert(all.end(), seg.data, seg.data + seg.size);
-        }
-        head.feed(all.data(), all.size());
-        return std::move(head).finalize();
-    }
-    // Streaming: O(chunk) resident uops regardless of stream length.
-    // 16 windows per chunk keeps feed() overhead negligible next to the
-    // per-uop profiling work.
-    const size_t chunk = 16 * winSize;
-    for (;;) {
-        TraceSegment seg = source.next(chunk);
-        if (seg.empty())
-            break;
-        head.feed(seg.data, seg.size);
-    }
-    return std::move(head).finalize();
+    return profileSegments(source, cfg, 1, 0);
 }
 
 Profile
 profileSourceParallel(TraceSource &source, const ProfilerConfig &cfg,
                       const ParallelProfileOptions &opts)
 {
-    const unsigned threads = effectiveThreads(opts.threads);
-    if (!cfg.sampling.sampled() || threads <= 1)
-        return profileSource(source, cfg);
-    const size_t winSize = std::max<size_t>(1, cfg.sampling.windowSize);
-    const size_t span =
-        segmentSpan(source.sizeHint(), threads, winSize, opts.segmentUops);
-
-    MIPP_SPAN("profiler.pass");
-    // Batch pipeline: copy up to `threads` segments out of the source
-    // (its spans die on the next next() call), profile the batch in
-    // parallel as Carry segments, absorb in stream order, repeat.
-    SegmentProfiler head(cfg);
-    std::vector<std::vector<MicroOp>> bufs(threads);
-    std::vector<std::unique_ptr<SegmentProfiler>> segs(threads);
-    bool done = false;
-    while (!done) {
-        size_t nb = 0;
-        while (nb < threads && !done) {
-            std::vector<MicroOp> &buf = bufs[nb];
-            buf.clear();
-            // A source may yield short spans mid-stream; accumulate to
-            // the full window-aligned span so feed()'s alignment
-            // contract holds no matter how the source chunks.
-            while (buf.size() < span) {
-                TraceSegment s = source.next(span - buf.size());
-                if (s.empty()) {
-                    done = true;
-                    break;
-                }
-                buf.insert(buf.end(), s.data, s.data + s.size);
-            }
-            if (!buf.empty())
-                nb++;
-        }
-        if (nb == 0)
-            break;
-        std::vector<uint64_t> bases(nb);
-        uint64_t base = head.position();
-        for (size_t i = 0; i < nb; ++i) {
-            bases[i] = base;
-            base += bufs[i].size();
-        }
-        parallelForShared(nb, threads, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                auto seg = std::make_unique<SegmentProfiler>(
-                    cfg, SegmentProfiler::Role::Carry, bases[i]);
-                seg->feed(bufs[i].data(), bufs[i].size());
-                seg->seal();
-                segs[i] = std::move(seg);
-            }
-        });
-        for (size_t i = 0; i < nb; ++i)
-            head.absorb(std::move(*segs[i]));
-    }
-    return std::move(head).finalize();
+    return profileSegments(
+        source, cfg,
+        opts.threads ? opts.threads : ThreadPool::shared().concurrency(),
+        opts.segmentUops);
 }
 
 std::vector<Profile>
@@ -198,16 +160,10 @@ profileTraces(const std::vector<Trace> &traces,
     std::vector<Profile> out(traces.size());
     ThreadPool::shared().parallelFor(
         traces.size(), 1, [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                const ProfilerConfig &cfg =
-                    cfgs.empty() ? kDefault
-                                 : (cfgs.size() == 1 ? cfgs[0]
-                                                     : cfgs.at(i));
-                MIPP_SPAN("profiler.pass");
-                SegmentProfiler p(cfg);
-                p.feed(traces[i].data(), traces[i].size());
-                out[i] = std::move(p).finalize();
-            }
+            for (size_t i = begin; i < end; ++i)
+                out[i] = profileTrace(
+                    traces[i], cfgs.empty() ? kDefault
+                                            : cfgs[cfgs.size() == 1 ? 0 : i]);
         });
     return out;
 }

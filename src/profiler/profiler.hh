@@ -35,6 +35,23 @@ struct ProfilerConfig {
     uint32_t windowHistoryBits = 4;
 };
 
+/*
+ * One driver runs every entry point below over a TraceSource. It pulls
+ * window-aligned segments (a short span in mid-stream is accumulated to
+ * the full segment) and either feeds them straight to the sequential
+ * head or, with threads > 1, profiles batches of up to `threads`
+ * segments concurrently on the shared thread pool and absorbs each
+ * batch in stream order. Only a parallel batch over a source whose
+ * spans die on the next next() call (spansOutliveNext() false, e.g. an
+ * `.mtf` decode buffer) copies its segments; a Trace is profiled
+ * zero-copy on every path. Each call is one `profiler.pass` span, and
+ * every result is bit-identical to profileTrace on the same stream:
+ * all cross-segment state (reuse last-touch maps, branch global
+ * history, per-op stride runs, order-sensitive float accumulations) is
+ * carried explicitly across segment boundaries. Unsampled configs form
+ * one whole-stream micro-trace and are always one sequential feed.
+ */
+
 /** Profile @p trace. Deterministic; no micro-architecture inputs. */
 Profile profileTrace(const Trace &trace, const ProfilerConfig &cfg = {});
 
@@ -50,16 +67,7 @@ struct ParallelProfileOptions {
     size_t segmentUops = 0;
 };
 
-/**
- * Profile @p trace split into window-aligned segments profiled
- * concurrently on the shared thread pool and merged in stream order.
- * The result is bit-identical to profileTrace for every trace, thread
- * count and segment size: all cross-segment state (reuse last-touch
- * maps, branch global history, per-op stride runs, order-sensitive
- * float accumulations) is carried explicitly across the boundaries.
- * Unsampled configs and single-thread requests fall back to the
- * sequential pass.
- */
+/** Profile @p trace in window-aligned segments, concurrently. */
 Profile profileTraceParallel(const Trace &trace,
                              const ProfilerConfig &cfg = {},
                              const ParallelProfileOptions &opts = {});
@@ -67,19 +75,14 @@ Profile profileTraceParallel(const Trace &trace,
 class TraceSource;
 
 /**
- * Profile a uop stream without materializing it: O(chunk) resident
- * uops. Identical to materializing the stream and calling profileTrace
- * (unsampled configs buffer the whole stream, which forms one
- * micro-trace).
+ * Profile a uop stream without materializing it, sequentially: a
+ * source whose spans die on the next read streams in 16-window chunks
+ * (O(chunk) resident uops).
  */
 Profile profileSource(TraceSource &source, const ProfilerConfig &cfg = {});
 
-/**
- * Segment-parallel profileSource: batches of segments are copied out of
- * the source, profiled concurrently and merged in stream order. Peak
- * memory is O(threads * segment) uops. Bit-identical to profileTrace
- * on the materialized stream.
- */
+/** Segment-parallel profileSource; peak memory O(threads * segment)
+ *  uops for a source whose spans are copied. */
 Profile profileSourceParallel(TraceSource &source,
                               const ProfilerConfig &cfg = {},
                               const ParallelProfileOptions &opts = {});

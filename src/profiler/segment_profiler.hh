@@ -31,8 +31,9 @@
  * exactly the value the sequential profiler would have computed, and
  * every floating-point accumulation happens in the sequential order.
  * Segments must start at a multiple of the sampling window size so
- * micro-traces never straddle a boundary (profileTraceParallel enforces
- * this; unsampled configs fall back to the sequential path).
+ * micro-traces never straddle a boundary (the profiling driver in
+ * profiler.cc enforces this; unsampled configs are one whole-stream
+ * feed of the head).
  */
 
 #ifndef MIPP_PROFILER_SEGMENT_PROFILER_HH

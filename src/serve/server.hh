@@ -77,6 +77,7 @@
 #include <string>
 
 #include "profiler/profile_io.hh"
+#include "profiler/profiler.hh"
 #include "uarch/core_config.hh"
 #include "util/json.hh"
 #include "util/status.hh"
@@ -165,6 +166,15 @@ class Server
  * `mipp_cli evaluate` maps its flags onto the same members.
  */
 Status parseConfigJson(const json::Value &v, CoreConfig &cfg);
+
+/**
+ * A `profile` request's trace length and profiler options: `uops` in
+ * [1e3, 5e7] (default 200000), `threads` in [0, 64] (default 1) and
+ * `segment_uops` in [0, 5e7] (default 0); InvalidArgument otherwise.
+ * `mipp_cli profile` maps its arguments onto the same members.
+ */
+Status parseProfileJson(const json::Value &v, size_t &uops,
+                        ParallelProfileOptions &opts);
 
 /**
  * Minimal blocking JSON-lines client (tests, bench, tooling). Not

@@ -1,5 +1,6 @@
 #include "trace/mtf.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <ostream>
@@ -497,8 +498,8 @@ MtfTraceSource::open(const std::string &path,
 TraceSegment
 MtfTraceSource::next(size_t maxUops)
 {
-    buf_.resize(maxUops);
-    size_t n = reader_.decode(buf_.data(), maxUops);
+    buf_.resize(std::min<uint64_t>(maxUops, reader_.uopCount() - base_));
+    size_t n = reader_.decode(buf_.data(), buf_.size());
     TraceSegment seg{buf_.data(), n, base_};
     base_ += n;
     return seg;

@@ -6,9 +6,9 @@
  * compact on-disk encoding of the exact MicroOp stream the whole
  * framework operates on, so any externally captured trace (a recorded
  * synthetic workload, a converted DynamoRIO/Intel-PT-style text dump)
- * can flow through `profileSource` / `profileSourceParallel` at bounded
- * memory and produce a Profile *bit-identical* to profiling the same
- * stream in memory.
+ * can flow through the profiling driver (`profileSource` /
+ * `profileSourceParallel`) at bounded memory and produce a Profile
+ * *bit-identical* to profiling the same stream in memory.
  *
  * The byte-level layout is specified normatively in
  * `docs/trace-format.md`; the short version:
@@ -190,9 +190,11 @@ class MtfReader
 
 /**
  * TraceSource over an opened `.mtf` file: next() decodes the following
- * segment into an internal buffer (O(maxUops) resident uops; the file
- * itself stays mmap-ed/paged), so `profileSource` and
- * `profileSourceParallel` ingest any `.mtf` at bounded memory.
+ * segment into one reused buffer (at most maxUops resident uops, never
+ * more than remain; the file itself stays mmap-ed/paged), so
+ * `profileSource` and `profileSourceParallel` ingest any `.mtf` at
+ * bounded memory. Each span dies on the next next() call, so a
+ * parallel batch copies its segments out.
  */
 class MtfTraceSource final : public TraceSource
 {

@@ -8,11 +8,11 @@
  * a binary trace file reader) is another — the profiler consumes either
  * through the same interface at O(segment) memory.
  *
- * Segment contract (matches SegmentProfiler::feed): every segment
- * except the last must span a whole number of sampling windows so
- * micro-traces never straddle a segment boundary. Drivers guarantee
- * this by always requesting window-aligned segment sizes; a source
- * simply yields exactly @p maxUops uops until the stream's tail.
+ * Segment contract: next(maxUops) yields at most @p maxUops uops and
+ * may come back short anywhere; the profiler's driver requests
+ * window-aligned sizes and accumulates short spans up to the full
+ * request, so SegmentProfiler::feed's alignment contract holds however
+ * a source chunks its stream.
  */
 
 #ifndef MIPP_TRACE_TRACE_SOURCE_HH
@@ -38,9 +38,10 @@ struct TraceSegment {
 
 /**
  * Sequential cursor over a uop stream. next() yields the following
- * segment of exactly @p maxUops uops (fewer only at the stream's tail;
- * empty at end-of-stream). The returned span stays valid until the next
- * call to next() or reset() — callers needing longer lifetimes copy.
+ * segment of at most @p maxUops uops (empty only at end-of-stream;
+ * @p maxUops may exceed the stream, so size nothing by it). The
+ * returned span stays valid until the next call to next() or reset()
+ * unless spansOutliveNext() says otherwise.
  */
 class TraceSource
 {
@@ -55,6 +56,10 @@ class TraceSource
 
     virtual TraceSegment next(size_t maxUops) = 0;
 
+    /** True when every span yielded stays valid for the source's whole
+     *  lifetime (a materialized stream), so no driver needs to copy. */
+    virtual bool spansOutliveNext() const { return false; }
+
     /** Rewind to the start of the stream. */
     virtual void reset() = 0;
 };
@@ -66,6 +71,8 @@ class MaterializedTraceSource final : public TraceSource
     explicit MaterializedTraceSource(const Trace &trace) : trace_(&trace) {}
 
     uint64_t sizeHint() const override { return trace_->size(); }
+
+    bool spansOutliveNext() const override { return true; }
 
     TraceSegment
     next(size_t maxUops) override

@@ -189,9 +189,23 @@ TEST(ProfilerParallel, SourceParallelHandlesRaggedSpans)
     ProfilerConfig cfg;
     Profile seq = profileTrace(t, cfg);
 
-    RaggedSource src(t);
-    Profile par = profileSourceParallel(src, cfg, {.threads = 3});
-    expectProfilesIdentical(par, seq);
+    // Every path accumulates short mid-stream spans: the parallel batch,
+    // the sequential streaming pass and the one-thread fallback.
+    {
+        RaggedSource src(t);
+        Profile par = profileSourceParallel(src, cfg, {.threads = 3});
+        expectProfilesIdentical(par, seq);
+    }
+    {
+        RaggedSource src(t);
+        Profile streamed = profileSource(src, cfg);
+        expectProfilesIdentical(streamed, seq);
+    }
+    {
+        RaggedSource src(t);
+        Profile one = profileSourceParallel(src, cfg, {.threads = 1});
+        expectProfilesIdentical(one, seq);
+    }
 }
 
 // --------------------------------------------------------------------------
