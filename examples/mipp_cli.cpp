@@ -14,14 +14,16 @@
  *       Evaluate the analytical model for one design point.
  *
  *   mipp_cli sweep <in.profile> [--mode model|pareto|paired]
- *                  [--threads N] [--validate N] [--full] [--uops N]
+ *                  [--validate N] [--full]
  *       Sweep the design space and print the Pareto frontier.
  *       `model` (default) evaluates the analytical model only;
- *       `pareto` additionally simulates the model-predicted front plus a
- *       validation sample (the paper's prune-then-validate workflow);
- *       `paired` simulates every point. Simulation modes regenerate the
- *       suite workload named in the profile. `--full` uses the 243-point
- *       space instead of the 27-point subspace.
+ *       `pareto` additionally simulates the model-predicted front plus
+ *       --validate N off-front samples (default 2; the paper's
+ *       prune-then-validate workflow); `paired` simulates every point.
+ *       Simulation modes regenerate the suite workload named in the
+ *       profile, at the profiled length, and print each simulated front
+ *       point's CPI and model error. `--full` uses the 243-point space
+ *       instead of the 27-point subspace.
  *
  *   mipp_cli report accuracy [--grid ci|default|wide] [--uops N]
  *                  [--threads N] [--full] [--no-phased] [--workload NAME]...
@@ -49,16 +51,24 @@
  *   mipp_cli list
  *       List the available suite workloads.
  *
+ * `profile`, `evaluate` and `sweep` are requests against an in-process
+ * serve::Server that is never started: their flags map onto the members
+ * of serve's `profile`, `evaluate` (under `config`) and `sweep` requests,
+ * the daemon's dispatcher checks and runs them, and the text is printed
+ * from its reply. The CLI and the daemon therefore share one validation,
+ * one sweep-mode selection and one set of printed values.
+ *
  * Any command accepts `--trace-json FILE`: a SpanRecorder is installed
  * for the whole run and the collected spans are written as Chrome
  * trace-event JSON on exit (including the SIGINT path of `serve`).
  * Load the file at chrome://tracing or https://ui.perfetto.dev.
  *
  * Errors are structured: input-shaped failures (bad profile bytes,
- * unknown workload, empty design space) print their Status code and
- * exit 2; anything else exits 1.
+ * unknown workload, unknown flag, out-of-range count) print their
+ * Status code and exit 2; anything else exits 1.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -68,27 +78,21 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
-
 #include <vector>
 
 #include "cli/cli_help.hh"
-#include "dse/explorer.hh"
-#include "dse/pareto.hh"
-#include "model/interval_model.hh"
 #include "obs/trace.hh"
-#include "power/power_model.hh"
 #include "profiler/profile_io.hh"
-#include "profiler/profiler.hh"
 #include "serve/server.hh"
 #include "trace/mtf.hh"
 #include "trace/mtf_text.hh"
-#include "util/failpoint.hh"
 #include "util/json.hh"
 #include "util/status.hh"
-#include "uarch/design_space.hh"
 #include "validate/accuracy.hh"
 #include "validate/calibrate.hh"
 #include "workloads/workload.hh"
@@ -110,80 +114,6 @@ flagValue(int argc, char **argv, int &i)
     }
     return argv[++i];
 }
-
-/**
- * The sweep flags shared by `sweep`, `report accuracy` and `report
- * calibrate`:
- *
- *   --mode model|pareto|paired   SweepMode selection
- *   --streaming                  streaming sweep (ModelOnlyPareto:
- *                                O(front) memory, no point grid)
- *   --threads N                  sweep concurrency (0 = all cores)
- *   --validate N                 off-front validation simulations per
- *                                workload (ModelThenSimPareto)
- *   --full                       243-point space instead of the 27-point
- *                                subspace
- *   --uops N                     trace length (caller-defined default)
- */
-struct SweepFlags {
-    SweepOptions sopts{SweepMode::ModelOnly, 0, 2};
-    bool full = false;
-    size_t uops = 0;  ///< caller sets the default before parse()
-
-    /**
-     * Parse @p argv[0..argc); on an unknown flag, print a usage line
-     * prefixed with @p prog and return false.
-     */
-    bool
-    parse(int argc, char **argv, const char *prog)
-    {
-        for (int i = 0; i < argc; ++i) {
-            auto next = [&] { return flagValue(argc, argv, i); };
-            const char *v = nullptr;
-            if (!std::strcmp(argv[i], "--mode")) {
-                if (!(v = next()))
-                    return false;
-                std::string m = v;
-                if (m == "model")
-                    sopts.mode = SweepMode::ModelOnly;
-                else if (m == "pareto")
-                    sopts.mode = SweepMode::ModelThenSimPareto;
-                else if (m == "paired")
-                    sopts.mode = SweepMode::Paired;
-                else {
-                    std::fprintf(stderr, "unknown --mode %s "
-                                 "(model|pareto|paired)\n", v);
-                    return false;
-                }
-            } else if (!std::strcmp(argv[i], "--streaming")) {
-                sopts.mode = SweepMode::ModelOnlyPareto;
-            } else if (!std::strcmp(argv[i], "--threads")) {
-                if (!(v = next()))
-                    return false;
-                sopts.threads = static_cast<unsigned>(std::atoi(v));
-            } else if (!std::strcmp(argv[i], "--validate")) {
-                if (!(v = next()))
-                    return false;
-                sopts.validationSamples =
-                    static_cast<size_t>(std::atoll(v));
-            } else if (!std::strcmp(argv[i], "--full")) {
-                full = true;
-            } else if (!std::strcmp(argv[i], "--uops")) {
-                if (!(v = next()))
-                    return false;
-                uops = std::strtoull(v, nullptr, 10);
-            } else {
-                std::fprintf(stderr,
-                             "usage: %s [--mode model|pareto|paired] "
-                             "[--streaming] [--threads N] [--validate N] "
-                             "[--full] [--uops N]\n",
-                             prog);
-                return false;
-            }
-        }
-        return true;
-    }
-};
 
 int
 usage()
@@ -246,89 +176,168 @@ traceBaseName(const std::string &path)
     return base.empty() ? "trace" : base;
 }
 
-/** @p text as a number; StatusError(InvalidArgument) naming @p what
- *  when it is missing (null) or not a number. */
+/** The error for a flag the command does not know. */
+StatusError
+unknownFlag(const char *flag)
+{
+    return StatusError(invalidArgument(std::string("unknown flag ") + flag));
+}
+
+/** @p text as a number in [@p lo, @p hi]; StatusError(InvalidArgument)
+ *  naming @p what when it is missing (null), not a number or out of
+ *  range. */
 double
-numberArg(const char *what, const char *text)
+numberArg(const char *what, const char *text,
+          double lo = -std::numeric_limits<double>::infinity(),
+          double hi = std::numeric_limits<double>::infinity())
 {
     char *end = nullptr;
     double v = text ? std::strtod(text, &end) : 0;
     if (!end || end == text || *end)
         throw StatusError(
             invalidArgument(std::string(what) + " expects a number"));
+    if (!(v >= lo && v <= hi))
+        throw StatusError(invalidArgument(
+            std::string(what) + " out of range [" + json::number(lo) +
+            ", " + json::number(hi) + "]"));
     return v;
+}
+
+/** The value of numeric flag argv[i] in [@p lo, @p hi], advancing @p i
+ *  past it (see numberArg). */
+double
+flagNumber(int argc, char **argv, int &i, double lo, double hi)
+{
+    const char *flag = argv[i];
+    return numberArg(flag, i + 1 < argc ? argv[++i] : nullptr, lo, hi);
+}
+
+/** How one flag becomes a member of a serve request. */
+struct FlagRule {
+    const char *flag;
+    const char *member;
+    enum As { Number, Text, Fixed } as;
+    json::Value fixed = {}; ///< the member's value when as == Fixed
+};
+
+/**
+ * Map @p argv onto request members by @p rules: `--flag value` sets the
+ * flag's member to the value as a number or as text, a Fixed flag sets
+ * its fixed value. Other arguments are appended to @p positional. An
+ * unknown flag, or one missing its value, throws
+ * StatusError(InvalidArgument); the server checks every value.
+ */
+json::Object
+mapFlags(int argc, char **argv, std::span<const FlagRule> rules,
+         std::vector<std::string> &positional)
+{
+    json::Object members;
+    for (int i = 0; i < argc; ++i) {
+        if (argv[i][0] != '-') {
+            positional.push_back(argv[i]);
+            continue;
+        }
+        auto rule = std::find_if(
+            rules.begin(), rules.end(),
+            [&](const FlagRule &r) { return !std::strcmp(r.flag, argv[i]); });
+        if (rule == rules.end())
+            throw unknownFlag(argv[i]);
+        if (rule->as == FlagRule::Fixed) {
+            members[rule->member] = rule->fixed;
+            continue;
+        }
+        const char *value = i + 1 < argc ? argv[++i] : nullptr;
+        if (rule->as == FlagRule::Number)
+            members[rule->member] = numberArg(rule->flag, value);
+        else if (value)
+            members[rule->member] = std::string(value);
+        else
+            throw StatusError(invalidArgument(std::string(rule->flag) +
+                                              " requires a value"));
+    }
+    return members;
+}
+
+const FlagRule kProfileFlags[] = {
+    {"--threads", "threads", FlagRule::Number},
+    {"--segment-uops", "segment_uops", FlagRule::Number},
+    {"--trace", "trace", FlagRule::Text},
+    {"--name", "name", FlagRule::Text},
+};
+
+const FlagRule kConfigFlags[] = {
+    {"--width", "width", FlagRule::Number},
+    {"--rob", "rob", FlagRule::Number},
+    {"--l1d", "l1d_kb", FlagRule::Number},
+    {"--l2", "l2_kb", FlagRule::Number},
+    {"--l3", "l3_mb", FlagRule::Number},
+    {"--freq", "freq_ghz", FlagRule::Number},
+    {"--prefetcher", "prefetcher", FlagRule::Fixed, true},
+};
+
+const FlagRule kSweepFlags[] = {
+    {"--mode", "mode", FlagRule::Text},
+    {"--validate", "validate", FlagRule::Number},
+    {"--full", "space", FlagRule::Fixed, "full"},
+};
+
+/**
+ * Run one request on @p server, in process (the server is never
+ * started), and return the reply's members. A failed request throws
+ * StatusError, so it exits like any other input error.
+ */
+json::Value
+request(serve::Server &server, json::Object members)
+{
+    std::string body;
+    throwIfError(server.execute(json::Value(std::move(members)),
+                                CancelToken(), body));
+    json::Value reply;
+    throwIfError(json::parse("{" + body + "}", reply));
+    return reply;
+}
+
+/** load-profile the file @p path into @p server as "p"; the reply. */
+json::Value
+loadInto(serve::Server &server, const std::string &path)
+{
+    return request(server,
+                   {{"op", "load-profile"}, {"name", "p"}, {"path", path}});
 }
 
 int
 cmdProfile(int argc, char **argv)
 {
-    // The counts become serve's `profile` members, so the CLI and the
-    // daemon check them against one range table. Both default to one
-    // thread: fully reproducible timing, and small workloads gain
-    // nothing.
-    json::Object knobs;
-    std::string tracePath, name, outPath;
     std::vector<std::string> positional;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            knobs["threads"] = numberArg("--threads", argv[++i]);
-        } else if (!std::strcmp(argv[i], "--segment-uops") &&
-                   i + 1 < argc) {
-            knobs["segment_uops"] = numberArg("--segment-uops", argv[++i]);
-        } else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
-            tracePath = argv[++i];
-        } else if (!std::strcmp(argv[i], "--name") && i + 1 < argc) {
-            name = argv[++i];
-        } else if (argv[i][0] != '-') {
-            positional.push_back(argv[i]);
-        } else {
-            std::fprintf(stderr, "unknown profile option %s\n", argv[i]);
-            return usage();
-        }
-    }
-
+    json::Object req = mapFlags(argc, argv, kProfileFlags, positional);
+    const bool fromTrace = req.count("trace") > 0;
     // With --trace the positionals are <out> [uops-ignored]; otherwise
     // <workload> <out> [uops].
-    size_t need = tracePath.empty() ? 2 : 1;
+    const size_t need = fromTrace ? 1 : 2;
     if (positional.size() < need)
         return usage();
     if (positional.size() > need)
-        knobs["uops"] = numberArg("uops", positional[need].c_str());
-    size_t uops = 0;
-    ParallelProfileOptions popts;
-    throwIfError(serve::parseProfileJson(json::Value(std::move(knobs)),
-                                         uops, popts));
+        req["uops"] = numberArg("uops", positional[need].c_str());
+    if (!fromTrace)
+        req["workload"] = positional[0];
+    std::string name = req["name"].str();
+    if (name.empty())
+        name = fromTrace ? traceBaseName(req["trace"].str()) : positional[0];
+    req["name"] = name;
+    req["op"] = "profile";
 
-    Profile p;
-    size_t gotUops = 0;
-    if (!tracePath.empty()) {
-        outPath = positional[0];
-        if (name.empty())
-            name = traceBaseName(tracePath);
-        std::unique_ptr<MtfTraceSource> source;
-        throwIfError(MtfTraceSource::open(tracePath, source));
-        ProfilerConfig cfg;
-        cfg.name = name;
-        // Streaming ingestion: O(segment) resident uops; bit-identical
-        // across thread counts (the parallel parity suite pins this).
-        p = profileSourceParallel(*source, cfg, popts);
-        gotUops = static_cast<size_t>(source->info().uopCount);
-    } else {
-        outPath = positional[1];
-        WorkloadSpec spec = suiteWorkload(positional[0]);
-        if (name.empty())
-            name = spec.name;
-        Trace t = generateWorkload(spec, uops);
-        // Bit-identical at any --threads; it only changes wall-clock.
-        p = profileTraceParallel(t, {.name = name}, popts);
-        gotUops = t.size();
-    }
-    if (!saveProfile(p, outPath)) {
+    // The daemon checks the counts. --threads defaults to one there
+    // (reproducible timing); any thread count profiles bit-identically.
+    serve::Server server({});
+    json::Value r = request(server, std::move(req));
+    const std::string &outPath = positional[need - 1];
+    if (!saveProfile(*server.profile(name), outPath)) {
         std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
         return 1;
     }
-    std::printf("profiled %s (%zu uops) -> %s\n", name.c_str(), gotUops,
-                outPath.c_str());
+    std::printf("profiled %s (%zu uops) -> %s\n",
+                r["workload"].str().c_str(),
+                static_cast<size_t>(r["uops"].number()), outPath.c_str());
     return 0;
 }
 
@@ -341,9 +350,9 @@ cmdTrace(int argc, char **argv)
     if (sub == "record") {
         if (argc < 3)
             return usage();
-        size_t uops = argc >= 4
-                          ? std::strtoull(argv[3], nullptr, 10)
-                          : 200000;
+        size_t uops =
+            argc >= 4 ? static_cast<size_t>(numberArg("uops", argv[3], 0, 5e7))
+                      : 200000;
         WorkloadSpec spec = suiteWorkload(argv[1]);
         Trace t = generateWorkload(spec, uops);
         throwIfError(saveMtf(t, argv[2]));
@@ -395,122 +404,72 @@ cmdTrace(int argc, char **argv)
     return usage();
 }
 
-/** Design-point flags become serve's `config` members, so the CLI and
- *  the daemon check them against one range table; a bad value throws
- *  StatusError(InvalidArgument). */
-CoreConfig
-parseConfig(int argc, char **argv)
-{
-    static const std::pair<const char *, const char *> kFlags[] = {
-        {"--width", "width"}, {"--rob", "rob"},     {"--l1d", "l1d_kb"},
-        {"--l2", "l2_kb"},    {"--l3", "l3_mb"},    {"--freq", "freq_ghz"},
-    };
-    json::Object knobs;
-    for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--prefetcher"))
-            knobs["prefetcher"] = true;
-        for (const auto &[flag, key] : kFlags) {
-            if (std::strcmp(argv[i], flag))
-                continue;
-            knobs[key] = numberArg(flag, i + 1 < argc ? argv[++i] : nullptr);
-        }
-    }
-    CoreConfig cfg;
-    throwIfError(serve::parseConfigJson(json::Value(std::move(knobs)), cfg));
-    return cfg;
-}
-
 int
 cmdEvaluate(int argc, char **argv)
 {
-    if (argc < 1)
+    std::vector<std::string> positional;
+    json::Object config = mapFlags(argc, argv, kConfigFlags, positional);
+    if (positional.size() != 1)
         return usage();
-    Profile p = loadProfile(argv[0]);
-    CoreConfig cfg = parseConfig(argc - 1, argv + 1);
+    serve::Server server({});
+    json::Value p = loadInto(server, positional[0]);
+    json::Value r = request(
+        server, {{"op", "evaluate"}, {"profile", "p"}, {"config", config}});
+    CoreConfig cfg;
+    throwIfError(serve::parseConfigJson(json::Value(std::move(config)), cfg));
 
-    ModelResult m = evaluateModel(p, cfg);
-    PowerBreakdown pw = computePower(m.activity, cfg);
-    EnergyMetrics em = energyMetrics(m.cycles, pw, cfg);
-
-    std::printf("profile   %s (%lu uops)\n", p.name.c_str(),
-                static_cast<unsigned long>(p.totalUops));
+    std::printf("profile   %s (%lu uops)\n", p["workload"].str().c_str(),
+                static_cast<unsigned long>(p["uops"].number()));
     std::printf("design    width %u, ROB %u, L1D %u KB, L2 %u KB, "
                 "L3 %u MB, %.2f GHz\n",
                 cfg.dispatchWidth, cfg.robSize,
                 cfg.l1d.sizeBytes / 1024, cfg.l2.sizeBytes / 1024,
                 cfg.l3.sizeBytes / 1024 / 1024, cfg.freqGHz);
     std::printf("CPI       %.3f   (Deff %.2f limited by %s, MLP %.2f)\n",
-                m.cpiPerUop(), m.deff, m.limits.binding(), m.mlp);
-    double n = m.uops > 0 ? m.uops : 1; // an empty .mtf profiles 0 uops
+                r["cpi"].number(), r["deff"].number(),
+                r["limit"].str().c_str(), r["mlp"].number());
+    const json::Value &st = r["stack"];
     std::printf("stack     base %.3f | branch %.3f | icache %.3f | "
                 "LLC %.3f | DRAM %.3f\n",
-                m.stack.base / n, m.stack.branch / n, m.stack.icache / n,
-                m.stack.llcHit / n, m.stack.dram / n);
+                st["base"].number(), st["branch"].number(),
+                st["icache"].number(), st["llc"].number(),
+                st["dram"].number());
     std::printf("power     %.2f W (dynamic %.2f, static %.2f)\n",
-                pw.total(), pw.dynamicPower(), pw.staticPower);
-    std::printf("runtime   %.3f ms, energy %.3f mJ\n", em.seconds * 1e3,
-                em.energy * 1e3);
+                r["watts"].number(), r["dynamic_watts"].number(),
+                r["static_watts"].number());
+    std::printf("runtime   %.3f ms, energy %.3f mJ\n",
+                r["seconds"].number() * 1e3, r["energy_j"].number() * 1e3);
     return 0;
 }
 
 int
 cmdSweep(int argc, char **argv)
 {
-    if (argc < 1)
+    std::vector<std::string> positional;
+    json::Object req = mapFlags(argc, argv, kSweepFlags, positional);
+    if (positional.size() != 1)
         return usage();
-    Profile p = loadProfile(argv[0]);
+    serve::Server server({});
+    json::Value p = loadInto(server, positional[0]);
+    req["op"] = "sweep";
+    req["profile"] = "p";
+    json::Value r = request(server, std::move(req));
 
-    SweepFlags flags; // uops 0 = match the profiled length
-    if (!flags.parse(argc - 1, argv + 1, "mipp_cli sweep <profile>"))
-        return 2;
-    SweepOptions sopts = flags.sopts;
-    size_t uops = flags.uops;
-
-    DesignSpace space =
-        flags.full ? DesignSpace() : DesignSpace::small();
-    std::vector<Profile> profiles{std::move(p)};
-    std::vector<Trace> traces;
-    if (sopts.mode != SweepMode::ModelOnly &&
-        sopts.mode != SweepMode::ModelOnlyPareto) {
-        // Simulation needs the instruction stream; regenerate the suite
-        // workload the profile was collected from, at the profiled
-        // length unless overridden (a length mismatch would skew the
-        // model-vs-sim comparison through cold-miss fractions).
-        if (uops == 0)
-            uops = static_cast<size_t>(profiles[0].totalUops);
-        traces.push_back(
-            generateWorkload(suiteWorkload(profiles[0].name), uops));
-    } else {
-        traces.emplace_back();
-    }
-
-    SweepResult r = sweepEx(traces, profiles, space.configs(), {}, sopts);
-
-    // Model-front modes (including streaming, which never materializes
-    // the point grid) deliver the front directly; Paired computes it
-    // here from the full grid.
-    std::vector<SweepPoint> front =
-        r.frontPoints.empty() ? std::vector<SweepPoint>{}
-                              : r.frontPoints[0];
-    if (front.empty() && !r.points.empty()) {
-        std::vector<Objective> obj;
-        for (size_t ci = 0; ci < r.nConfigs; ++ci)
-            obj.push_back(
-                {r.at(0, ci).modelCpi, r.at(0, ci).modelWatts});
-        for (size_t ci : paretoFront(obj))
-            front.push_back(r.at(0, ci));
-    }
+    const json::Array &front = r["front"].array();
     std::printf("predicted Pareto frontier for %s (%zu of %zu designs, "
                 "%zu simulations spent):\n",
-                profiles[0].name.c_str(), front.size(), space.size(),
-                r.simInvocations);
-    for (const SweepPoint &pt : front) {
-        std::printf("  %-30s CPI %7.3f  W %6.2f",
-                    space[pt.configIdx].name.c_str(), pt.modelCpi,
-                    pt.modelWatts);
-        if (pt.simulated)
-            std::printf("   (sim: %7.3f, err %+.1f%%)", pt.simCpi,
-                        100 * pt.cpiError());
+                p["workload"].str().c_str(), front.size(),
+                static_cast<size_t>(r["space"].number()),
+                static_cast<size_t>(r["simulations"].number()));
+    for (const json::Value &pt : front) {
+        const double cpi = pt["cpi"].number();
+        std::printf("  %-30s CPI %7.3f  W %6.2f", pt["name"].str().c_str(),
+                    cpi, pt["watts"].number());
+        if (pt["sim_cpi"].isNumber()) {
+            const double sim = pt["sim_cpi"].number();
+            std::printf("   (sim: %7.3f, err %+.1f%%)", sim,
+                        sim > 0 ? 100 * ((cpi - sim) / sim) : 0.0);
+        }
         std::printf("\n");
     }
     return 0;
@@ -523,7 +482,6 @@ cmdCalibrate(int argc, char **argv)
     std::string gridName = "ci";
     std::string jsonPath;
 
-    std::vector<char *> rest;
     for (int i = 0; i < argc; ++i) {
         auto next = [&] { return flagValue(argc, argv, i); };
         const char *v = nullptr;
@@ -552,28 +510,19 @@ cmdCalibrate(int argc, char **argv)
                 return 2;
             copts.checkGrids.push_back(v);
         } else if (!std::strcmp(argv[i], "--rounds")) {
-            if (!(v = next()))
-                return 2;
-            copts.rounds = std::atoi(v);
-            if (copts.rounds <= 0) {
-                // atoi's silent 0 on a typo would skip the whole
-                // coefficient fit yet still print "fitted" values.
-                std::fprintf(stderr,
-                             "--rounds requires a positive integer "
-                             "(got '%s')\n", v);
-                return 2;
-            }
+            // 0 would skip the whole coefficient fit yet still print
+            // "fitted" values.
+            copts.rounds = static_cast<int>(flagNumber(argc, argv, i, 1, 1000));
+        } else if (!std::strcmp(argv[i], "--threads")) {
+            copts.threads =
+                static_cast<unsigned>(flagNumber(argc, argv, i, 0, 64));
+        } else if (!std::strcmp(argv[i], "--uops")) {
+            copts.uops =
+                static_cast<size_t>(flagNumber(argc, argv, i, 100, 1e7));
         } else {
-            rest.push_back(argv[i]);
+            throw unknownFlag(argv[i]);
         }
     }
-    SweepFlags flags;
-    flags.uops = copts.uops;
-    if (!flags.parse(static_cast<int>(rest.size()), rest.data(),
-                     "mipp_cli report calibrate"))
-        return 2;
-    copts.uops = flags.uops;
-    copts.threads = flags.sopts.threads;
     copts.grid = accuracyGrid(gridName);
 
     CalibrationReport rep = runCalibration(copts);
@@ -655,9 +604,7 @@ cmdReportMetrics(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--prometheus")) {
             format = "prometheus";
         } else {
-            std::fprintf(stderr, "unknown report metrics flag %s\n",
-                         argv[i]);
-            return 2;
+            throw unknownFlag(argv[i]);
         }
     }
     if (socketPath.empty()) {
@@ -721,13 +668,10 @@ cmdReport(int argc, char **argv)
 
     AccuracyOptions aopts;
     std::string gridName = "default";
-    bool gridExplicit = false;
+    bool gridExplicit = false, full = false;
     std::string jsonPath, baselinePath;
     double margin = 2.0;
 
-    // Accuracy-specific flags are consumed here; everything else is
-    // handed to the shared SweepFlags parser (--uops/--threads/--full).
-    std::vector<char *> rest;
     for (int i = 1; i < argc; ++i) {
         auto next = [&] { return flagValue(argc, argv, i); };
         const char *v = nullptr;
@@ -745,9 +689,7 @@ cmdReport(int argc, char **argv)
                 return 2;
             baselinePath = v;
         } else if (!std::strcmp(argv[i], "--margin")) {
-            if (!(v = next()))
-                return 2;
-            margin = std::atof(v);
+            margin = flagNumber(argc, argv, i, 0, 100);
         } else if (!std::strcmp(argv[i], "--no-phased")) {
             aopts.includePhased = false;
         } else if (!std::strcmp(argv[i], "--workload")) {
@@ -758,18 +700,19 @@ cmdReport(int argc, char **argv)
             if (!(v = next()))
                 return 2;
             aopts.traceFiles.push_back(v);
+        } else if (!std::strcmp(argv[i], "--threads")) {
+            aopts.threads =
+                static_cast<unsigned>(flagNumber(argc, argv, i, 0, 64));
+        } else if (!std::strcmp(argv[i], "--uops")) {
+            aopts.uops =
+                static_cast<size_t>(flagNumber(argc, argv, i, 100, 1e7));
+        } else if (!std::strcmp(argv[i], "--full")) {
+            full = true;
         } else {
-            rest.push_back(argv[i]);
+            throw unknownFlag(argv[i]);
         }
     }
-    SweepFlags flags;
-    flags.uops = aopts.uops;
-    if (!flags.parse(static_cast<int>(rest.size()), rest.data(),
-                     "mipp_cli report accuracy"))
-        return 2;
-    aopts.uops = flags.uops;
-    aopts.threads = flags.sopts.threads;
-    if (flags.full) {
+    if (full) {
         if (gridExplicit && gridName != "wide") {
             std::fprintf(stderr,
                          "--full conflicts with --grid %s (it selects "
@@ -865,30 +808,22 @@ cmdServe(int argc, char **argv)
                 return 2;
             sopts.socketPath = v;
         } else if (!std::strcmp(argv[i], "--workers")) {
-            if (!(v = next()))
-                return 2;
-            sopts.workers = static_cast<unsigned>(std::atoi(v));
+            sopts.workers =
+                static_cast<unsigned>(flagNumber(argc, argv, i, 1, 64));
         } else if (!std::strcmp(argv[i], "--queue")) {
-            if (!(v = next()))
-                return 2;
-            sopts.maxQueue = std::strtoull(v, nullptr, 10);
+            sopts.maxQueue =
+                static_cast<size_t>(flagNumber(argc, argv, i, 1, 1e6));
         } else if (!std::strcmp(argv[i], "--profiles")) {
-            if (!(v = next()))
-                return 2;
-            sopts.maxProfiles = std::strtoull(v, nullptr, 10);
+            sopts.maxProfiles =
+                static_cast<size_t>(flagNumber(argc, argv, i, 1, 1e4));
         } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-            if (!(v = next()))
-                return 2;
-            sopts.defaultDeadlineMs = std::atof(v);
+            sopts.defaultDeadlineMs = flagNumber(argc, argv, i, 0, 1e9);
         } else if (!std::strcmp(argv[i], "--failpoints")) {
             sopts.allowFailpoints = true;
         } else if (!std::strcmp(argv[i], "--stats-interval-ms")) {
-            if (!(v = next()))
-                return 2;
-            sopts.statsIntervalMs = std::atof(v);
+            sopts.statsIntervalMs = flagNumber(argc, argv, i, 0, 1e9);
         } else {
-            std::fprintf(stderr, "unknown serve flag %s\n", argv[i]);
-            return 2;
+            throw unknownFlag(argv[i]);
         }
     }
     if (sopts.socketPath.empty()) {

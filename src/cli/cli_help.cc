@@ -32,25 +32,29 @@ const std::vector<CommandHelp> kCommands = {
         "[--l2 KB] [--l3 MB] [--freq GHZ] [--prefetcher]",
         "evaluate the analytical model for one design point",
         "Evaluate CPI stack, power and runtime for a single core\n"
-        "configuration against a saved profile. Flags override the\n"
-        "Nehalem-like reference configuration, within the ranges the\n"
-        "serve protocol accepts (out of range: InvalidArgument, exit 2).",
+        "configuration against a saved profile (serve's evaluate op, run\n"
+        "in process). Flags override the Nehalem-like reference\n"
+        "configuration within the ranges that op accepts (an unknown\n"
+        "flag or a value out of range: InvalidArgument, exit 2).",
     },
     {
         "sweep",
-        "sweep <in.profile> [--mode model|pareto|paired] [--streaming]\n"
-        "[--threads N] [--validate N] [--full] [--uops N]",
+        "sweep <in.profile> [--mode model|pareto|paired] [--validate N]\n"
+        "[--full]",
         "sweep the design space, print the Pareto frontier",
-        "Sweep the design space against a saved profile.\n"
-        "  --mode model   analytical model only (default)\n"
+        "Sweep the design space against a saved profile (serve's sweep\n"
+        "op, run in process).\n"
+        "  --mode model   analytical model only, O(front) memory\n"
+        "                 (default)\n"
         "  --mode pareto  simulate the model-predicted front plus\n"
-        "                 --validate N off-front samples\n"
+        "                 --validate N off-front samples (default 2)\n"
         "  --mode paired  simulate every point (ground truth)\n"
-        "  --streaming    streaming sweep, O(front) memory\n"
         "  --full         243-point space instead of the 27-point one\n"
         "Simulation modes regenerate the suite workload named in the\n"
-        "profile; profiles recorded from .mtf traces support model-only\n"
-        "modes.",
+        "profile at the profiled length, and print each simulated front\n"
+        "point's CPI and model error. A profile named after no suite\n"
+        "workload (a .mtf trace's basename, say) sweeps in model mode\n"
+        "only.",
     },
     {
         "trace record",

@@ -78,6 +78,11 @@ TEST(JsonNumber, FixedPrecisionMatchesPrintf)
     EXPECT_EQ(json::number(std::nan(""), 10), "null");
 }
 
+TEST(JsonValue, StringLiteralIsAString)
+{
+    EXPECT_TRUE(json::Value("x").isString());
+}
+
 // --- Report readers under truncation and corruption -----------------------
 
 /** An accuracy report with every section populated. */
