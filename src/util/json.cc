@@ -1,5 +1,6 @@
 #include "util/json.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -317,9 +318,14 @@ number(double v, int precision)
 {
     if (!std::isfinite(v))
         return "null";
+    // to_chars is specified to print what printf's %.*g prints, several
+    // times faster (serve formats every model value through here); 64
+    // bytes hold 40 significant digits.
     char buf[64];
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    return buf;
+    auto res = std::to_chars(buf, buf + sizeof buf, v,
+                             std::chars_format::general,
+                             std::min(precision, 40));
+    return std::string(buf, res.ptr);
 }
 
 } // namespace mipp::json
