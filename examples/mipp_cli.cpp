@@ -1,71 +1,17 @@
 /**
  * @file
  * mipp_cli — command-line front end mirroring the paper's released
- * AIP (profiler) + PMT (modeling tool) pair:
+ * AIP (profiler) + PMT (modeling tool) pair. Its commands, flags and
+ * usage text are documented once, in the help table of
+ * src/cli/cli_help.cc (`mipp_cli help [command]`).
  *
- *   mipp_cli profile <workload> <out.profile> [uops]
- *                    [--threads N] [--segment-uops M]
- *       Generate the named suite workload and profile it once.
- *       --threads > 1 profiles window-aligned segments in parallel
- *       (bit-identical result); --segment-uops overrides the split.
- *
- *   mipp_cli evaluate <in.profile> [--width N] [--rob N] [--l1d KB]
- *                     [--l2 KB] [--l3 MB] [--freq GHZ] [--prefetcher]
- *       Evaluate the analytical model for one design point.
- *
- *   mipp_cli sweep <in.profile> [--mode model|pareto|paired]
- *                  [--validate N] [--full]
- *       Sweep the design space and print the Pareto frontier.
- *       `model` (default) evaluates the analytical model only;
- *       `pareto` additionally simulates the model-predicted front plus
- *       --validate N off-front samples (default 2; the paper's
- *       prune-then-validate workflow); `paired` simulates every point.
- *       Simulation modes regenerate the suite workload named in the
- *       profile, at the profiled length, and print each simulated front
- *       point's CPI and model error. `--full` uses the 243-point space
- *       instead of the 27-point subspace.
- *
- *   mipp_cli report accuracy [--grid ci|default|wide] [--uops N]
- *                  [--threads N] [--full] [--no-phased] [--workload NAME]...
- *                  [--json out.json] [--baseline golden.json] [--margin P]
- *       Run the suite-wide accuracy-validation harness: every suite (and
- *       phased) workload through both the cycle-level simulator and the
- *       analytical model over a design-point grid, with per-CPI-component
- *       error reporting and internal-consistency invariants enforced on
- *       both sides. `--json` writes the machine-readable report;
- *       `--baseline` gates against a golden report's MAPEs (exit 1 on
- *       regression beyond `--margin` percentage points, default 2).
- *
- *   mipp_cli serve --socket PATH [--workers N] [--queue N]
- *                  [--profiles N] [--deadline-ms D] [--failpoints]
- *                  [--stats-interval-ms D]
- *       Run the persistent DSE daemon on a Unix-domain socket speaking
- *       the JSON-lines protocol (see src/serve/server.hh and the README
- *       "Serving & fault tolerance" section). Runs until SIGINT/SIGTERM.
- *       `--stats-interval-ms` logs a periodic stats line to stderr.
- *
- *   mipp_cli report metrics --socket PATH [--prometheus] [--out FILE]
- *       Fetch the full metrics registry from a running daemon (the
- *       `metrics` op) as JSON or Prometheus text exposition.
- *
- *   mipp_cli list
- *       List the available suite workloads.
- *
- * `profile`, `evaluate` and `sweep` are requests against an in-process
- * serve::Server that is never started: their flags map onto the members
- * of serve's `profile`, `evaluate` (under `config`) and `sweep` requests,
- * the daemon's dispatcher checks and runs them, and the text is printed
- * from its reply. The CLI and the daemon therefore share one validation,
- * one sweep-mode selection and one set of printed values.
- *
- * Any command accepts `--trace-json FILE`: a SpanRecorder is installed
- * for the whole run and the collected spans are written as Chrome
- * trace-event JSON on exit (including the SIGINT path of `serve`).
- * Load the file at chrome://tracing or https://ui.perfetto.dev.
- *
- * Errors are structured: input-shaped failures (bad profile bytes,
- * unknown workload, unknown flag, out-of-range count) print their
- * Status code and exit 2; anything else exits 1.
+ * Every subcommand declares its flags in one FlagRule table that
+ * mapFlags parses. `profile`, `evaluate` and `sweep` map them onto
+ * serve requests that an in-process serve::Server (never started)
+ * checks and runs; the other commands read the mapped values into
+ * their option structs. Input-shaped failures (bad profile bytes,
+ * unknown workload, unknown flag, missing value, out-of-range count)
+ * print their Status code and exit 2; anything else exits 1.
  */
 
 #include <algorithm>
@@ -102,25 +48,17 @@ namespace {
 using namespace mipp;
 
 /**
- * The value of flag argv[i], advancing @p i past it; nullptr after
- * reporting a missing value, instead of silently parsing it as 0.
+ * A usage error: print @p command's help entry (the overview when
+ * none is named) to stderr and return exit status 2. Rendered from the
+ * one help table (src/cli/cli_help.{hh,cc}) so the CLI, `help`,
+ * `--help` and docs/ cannot diverge.
  */
-const char *
-flagValue(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", argv[i]);
-        return nullptr;
-    }
-    return argv[++i];
-}
-
 int
-usage()
+usage(std::string_view command = {})
 {
-    // Rendered from the one help table (src/cli/cli_help.{hh,cc}) so
-    // the CLI, `help`, `--help` and docs/ cannot diverge.
-    std::fputs(cli::overviewHelp().c_str(), stderr);
+    const std::string text =
+        command.empty() ? cli::overviewHelp() : cli::detailedHelp(command);
+    std::fputs(text.c_str(), stderr);
     return 2;
 }
 
@@ -149,10 +87,9 @@ cmdHelp(int argc, char **argv)
 bool
 wantsHelp(int argc, char **argv)
 {
-    for (int i = 0; i < argc; ++i)
-        if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h"))
-            return true;
-    return false;
+    return std::any_of(argv, argv + argc, [](std::string_view a) {
+        return a == "--help" || a == "-h";
+    });
 }
 
 int
@@ -163,19 +100,6 @@ cmdList()
     return 0;
 }
 
-/** "path/to/stream_add.mtf" → "stream_add" (default profile name). */
-std::string
-traceBaseName(const std::string &path)
-{
-    size_t slash = path.find_last_of('/');
-    std::string base =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    size_t dot = base.find_last_of('.');
-    if (dot != std::string::npos && dot > 0)
-        base.resize(dot);
-    return base.empty() ? "trace" : base;
-}
-
 /** The error for a flag the command does not know. */
 StatusError
 unknownFlag(const char *flag)
@@ -183,13 +107,14 @@ unknownFlag(const char *flag)
     return StatusError(invalidArgument(std::string("unknown flag ") + flag));
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /** @p text as a number in [@p lo, @p hi]; StatusError(InvalidArgument)
  *  naming @p what when it is missing (null), not a number or out of
  *  range. */
 double
-numberArg(const char *what, const char *text,
-          double lo = -std::numeric_limits<double>::infinity(),
-          double hi = std::numeric_limits<double>::infinity())
+numberArg(const char *what, const char *text, double lo = -kInf,
+          double hi = kInf)
 {
     char *end = nullptr;
     double v = text ? std::strtod(text, &end) : 0;
@@ -203,38 +128,35 @@ numberArg(const char *what, const char *text,
     return v;
 }
 
-/** The value of numeric flag argv[i] in [@p lo, @p hi], advancing @p i
- *  past it (see numberArg). */
-double
-flagNumber(int argc, char **argv, int &i, double lo, double hi)
-{
-    const char *flag = argv[i];
-    return numberArg(flag, i + 1 < argc ? argv[++i] : nullptr, lo, hi);
-}
-
-/** How one flag becomes a member of a serve request. */
+/** How one flag becomes a member of the mapped object. */
 struct FlagRule {
     const char *flag;
     const char *member;
-    enum As { Number, Text, Fixed } as;
-    json::Value fixed = {}; ///< the member's value when as == Fixed
+    /** Number and Text take the next argument as the member's value;
+     *  Repeated appends it, as text, to an array member; Fixed takes
+     *  no argument and sets the member to `fixed`. */
+    enum As { Number, Text, Repeated, Fixed } as;
+    json::Value fixed = {};
+    /** The range a Number accepts. The serve-backed commands leave it
+     *  open: the dispatcher checks their values. */
+    double lo = -kInf, hi = kInf;
 };
 
 /**
- * Map @p argv onto request members by @p rules: `--flag value` sets the
- * flag's member to the value as a number or as text, a Fixed flag sets
- * its fixed value. Other arguments are appended to @p positional. An
- * unknown flag, or one missing its value, throws
- * StatusError(InvalidArgument); the server checks every value.
+ * Map @p argv onto members by @p rules (see FlagRule). Other arguments
+ * are appended to @p positional; a command that takes none passes
+ * null, and such an argument is an unknown flag. An unknown flag, a
+ * missing value or a Number outside its range throws
+ * StatusError(InvalidArgument).
  */
 json::Object
 mapFlags(int argc, char **argv, std::span<const FlagRule> rules,
-         std::vector<std::string> &positional)
+         std::vector<std::string> *positional = nullptr)
 {
     json::Object members;
     for (int i = 0; i < argc; ++i) {
-        if (argv[i][0] != '-') {
-            positional.push_back(argv[i]);
+        if (positional && argv[i][0] != '-') {
+            positional->push_back(argv[i]);
             continue;
         }
         auto rule = std::find_if(
@@ -242,20 +164,36 @@ mapFlags(int argc, char **argv, std::span<const FlagRule> rules,
             [&](const FlagRule &r) { return !std::strcmp(r.flag, argv[i]); });
         if (rule == rules.end())
             throw unknownFlag(argv[i]);
+        json::Value &member = members[rule->member];
         if (rule->as == FlagRule::Fixed) {
-            members[rule->member] = rule->fixed;
+            member = rule->fixed;
             continue;
         }
         const char *value = i + 1 < argc ? argv[++i] : nullptr;
-        if (rule->as == FlagRule::Number)
-            members[rule->member] = numberArg(rule->flag, value);
-        else if (value)
-            members[rule->member] = std::string(value);
-        else
+        if (rule->as == FlagRule::Number) {
+            member = numberArg(rule->flag, value, rule->lo, rule->hi);
+        } else if (!value) {
             throw StatusError(invalidArgument(std::string(rule->flag) +
                                               " requires a value"));
+        } else if (rule->as == FlagRule::Text) {
+            member = std::string(value);
+        } else {
+            json::Array values = member.array();
+            values.emplace_back(std::string(value));
+            member = std::move(values);
+        }
     }
     return members;
+}
+
+/** The strings a Repeated flag collected into @p values. */
+std::vector<std::string>
+strings(const json::Value &values)
+{
+    std::vector<std::string> out;
+    for (const json::Value &v : values.array())
+        out.push_back(v.str());
+    return out;
 }
 
 const FlagRule kProfileFlags[] = {
@@ -309,17 +247,18 @@ int
 cmdProfile(int argc, char **argv)
 {
     std::vector<std::string> positional;
-    json::Object req = mapFlags(argc, argv, kProfileFlags, positional);
+    json::Object req = mapFlags(argc, argv, kProfileFlags, &positional);
     const bool fromTrace = req.count("trace") > 0;
-    // With --trace the positionals are <out> [uops-ignored]; otherwise
-    // <workload> <out> [uops].
+    // With --trace the positionals are <out> [uops], the count ignored
+    // (the trace has its own length); otherwise <workload> <out> [uops].
     const size_t need = fromTrace ? 1 : 2;
     if (positional.size() < need)
-        return usage();
-    if (positional.size() > need)
-        req["uops"] = numberArg("uops", positional[need].c_str());
-    if (!fromTrace)
+        return usage("profile");
+    if (!fromTrace) {
         req["workload"] = positional[0];
+        if (positional.size() > need)
+            req["uops"] = numberArg("uops", positional[need].c_str());
+    }
     std::string name = req["name"].str();
     if (name.empty())
         name = fromTrace ? traceBaseName(req["trace"].str()) : positional[0];
@@ -345,11 +284,11 @@ int
 cmdTrace(int argc, char **argv)
 {
     if (argc < 1)
-        return usage();
+        return usage("trace");
     std::string sub = argv[0];
     if (sub == "record") {
         if (argc < 3)
-            return usage();
+            return usage("trace record");
         size_t uops =
             argc >= 4 ? static_cast<size_t>(numberArg("uops", argv[3], 0, 5e7))
                       : 200000;
@@ -362,7 +301,7 @@ cmdTrace(int argc, char **argv)
     }
     if (sub == "convert") {
         if (argc < 3)
-            return usage();
+            return usage("trace convert");
         uint64_t uops = 0;
         throwIfError(convertTextFileToMtf(argv[1], argv[2], uops));
         std::printf("converted %s (%llu uops) -> %s\n", argv[1],
@@ -371,7 +310,7 @@ cmdTrace(int argc, char **argv)
     }
     if (sub == "dump") {
         if (argc < 2)
-            return usage();
+            return usage("trace dump");
         if (argc >= 3) {
             std::ofstream os(argv[2], std::ios::binary);
             if (!os) {
@@ -386,7 +325,7 @@ cmdTrace(int argc, char **argv)
     }
     if (sub == "info") {
         if (argc < 2)
-            return usage();
+            return usage("trace info");
         MtfReader reader;
         throwIfError(MtfReader::open(argv[1], reader));
         const MtfInfo &info = reader.info();
@@ -401,16 +340,16 @@ cmdTrace(int argc, char **argv)
         return 0;
     }
     std::fprintf(stderr, "unknown trace subcommand '%s'\n", sub.c_str());
-    return usage();
+    return usage("trace");
 }
 
 int
 cmdEvaluate(int argc, char **argv)
 {
     std::vector<std::string> positional;
-    json::Object config = mapFlags(argc, argv, kConfigFlags, positional);
+    json::Object config = mapFlags(argc, argv, kConfigFlags, &positional);
     if (positional.size() != 1)
-        return usage();
+        return usage("evaluate");
     serve::Server server({});
     json::Value p = loadInto(server, positional[0]);
     json::Value r = request(
@@ -446,9 +385,9 @@ int
 cmdSweep(int argc, char **argv)
 {
     std::vector<std::string> positional;
-    json::Object req = mapFlags(argc, argv, kSweepFlags, positional);
+    json::Object req = mapFlags(argc, argv, kSweepFlags, &positional);
     if (positional.size() != 1)
-        return usage();
+        return usage("sweep");
     serve::Server server({});
     json::Value p = loadInto(server, positional[0]);
     req["op"] = "sweep";
@@ -475,55 +414,38 @@ cmdSweep(int argc, char **argv)
     return 0;
 }
 
+const FlagRule kCalibrateFlags[] = {
+    {"--grid", "grid", FlagRule::Text},
+    {"--uops", "uops", FlagRule::Number, {}, 100, 1e7},
+    {"--threads", "threads", FlagRule::Number, {}, 0, 64},
+    {"--no-phased", "phased", FlagRule::Fixed, false},
+    {"--no-branch-fit", "branch_fit", FlagRule::Fixed, false},
+    // 0 would skip the whole coefficient fit yet still print "fitted"
+    // values.
+    {"--rounds", "rounds", FlagRule::Number, {}, 1, 1000},
+    {"--workload", "workloads", FlagRule::Repeated},
+    {"--trace", "traces", FlagRule::Repeated},
+    {"--check-grid", "check_grids", FlagRule::Repeated},
+    {"--json", "json", FlagRule::Text},
+};
+
 int
 cmdCalibrate(int argc, char **argv)
 {
+    const json::Value f(mapFlags(argc, argv, kCalibrateFlags));
     CalibrationOptions copts;
-    std::string gridName = "ci";
-    std::string jsonPath;
-
-    for (int i = 0; i < argc; ++i) {
-        auto next = [&] { return flagValue(argc, argv, i); };
-        const char *v = nullptr;
-        if (!std::strcmp(argv[i], "--grid")) {
-            if (!(v = next()))
-                return 2;
-            gridName = v;
-        } else if (!std::strcmp(argv[i], "--json")) {
-            if (!(v = next()))
-                return 2;
-            jsonPath = v;
-        } else if (!std::strcmp(argv[i], "--no-phased")) {
-            copts.includePhased = false;
-        } else if (!std::strcmp(argv[i], "--no-branch-fit")) {
-            copts.fitBranch = false;
-        } else if (!std::strcmp(argv[i], "--workload")) {
-            if (!(v = next()))
-                return 2;
-            copts.workloads.push_back(v);
-        } else if (!std::strcmp(argv[i], "--trace")) {
-            if (!(v = next()))
-                return 2;
-            copts.traceFiles.push_back(v);
-        } else if (!std::strcmp(argv[i], "--check-grid")) {
-            if (!(v = next()))
-                return 2;
-            copts.checkGrids.push_back(v);
-        } else if (!std::strcmp(argv[i], "--rounds")) {
-            // 0 would skip the whole coefficient fit yet still print
-            // "fitted" values.
-            copts.rounds = static_cast<int>(flagNumber(argc, argv, i, 1, 1000));
-        } else if (!std::strcmp(argv[i], "--threads")) {
-            copts.threads =
-                static_cast<unsigned>(flagNumber(argc, argv, i, 0, 64));
-        } else if (!std::strcmp(argv[i], "--uops")) {
-            copts.uops =
-                static_cast<size_t>(flagNumber(argc, argv, i, 100, 1e7));
-        } else {
-            throw unknownFlag(argv[i]);
-        }
-    }
+    const std::string gridName = f.stringOr("grid", "ci");
+    const std::string jsonPath = f.stringOr("json", "");
     copts.grid = accuracyGrid(gridName);
+    copts.uops = static_cast<size_t>(f.numberOr("uops", copts.uops));
+    copts.threads =
+        static_cast<unsigned>(f.numberOr("threads", copts.threads));
+    copts.includePhased = f.boolOr("phased", copts.includePhased);
+    copts.fitBranch = f.boolOr("branch_fit", copts.fitBranch);
+    copts.rounds = static_cast<int>(f.numberOr("rounds", copts.rounds));
+    copts.workloads = strings(f["workloads"]);
+    copts.traceFiles = strings(f["traces"]);
+    copts.checkGrids = strings(f["check_grids"]);
 
     CalibrationReport rep = runCalibration(copts);
 
@@ -585,34 +507,21 @@ cmdCalibrate(int argc, char **argv)
     return 0;
 }
 
+const FlagRule kMetricsFlags[] = {
+    {"--socket", "socket", FlagRule::Text},
+    {"--prometheus", "format", FlagRule::Fixed, "prometheus"},
+    {"--out", "out", FlagRule::Text},
+};
+
 int
 cmdReportMetrics(int argc, char **argv)
 {
-    std::string socketPath, outPath;
-    std::string format = "json";
-    for (int i = 0; i < argc; ++i) {
-        auto next = [&] { return flagValue(argc, argv, i); };
-        const char *v = nullptr;
-        if (!std::strcmp(argv[i], "--socket")) {
-            if (!(v = next()))
-                return 2;
-            socketPath = v;
-        } else if (!std::strcmp(argv[i], "--out")) {
-            if (!(v = next()))
-                return 2;
-            outPath = v;
-        } else if (!std::strcmp(argv[i], "--prometheus")) {
-            format = "prometheus";
-        } else {
-            throw unknownFlag(argv[i]);
-        }
-    }
-    if (socketPath.empty()) {
-        std::fprintf(stderr,
-                     "usage: mipp_cli report metrics --socket PATH "
-                     "[--prometheus] [--out FILE]\n");
-        return 2;
-    }
+    const json::Value f(mapFlags(argc, argv, kMetricsFlags));
+    const std::string socketPath = f.stringOr("socket", "");
+    const std::string outPath = f.stringOr("out", "");
+    const std::string format = f.stringOr("format", "json");
+    if (socketPath.empty())
+        return usage("report metrics");
 
     serve::Client cli;
     throwIfError(cli.connect(socketPath));
@@ -644,76 +553,36 @@ cmdReportMetrics(int argc, char **argv)
     return 0;
 }
 
+const FlagRule kAccuracyFlags[] = {
+    {"--grid", "grid", FlagRule::Text},
+    {"--uops", "uops", FlagRule::Number, {}, 100, 1e7},
+    {"--threads", "threads", FlagRule::Number, {}, 0, 64},
+    {"--full", "full", FlagRule::Fixed, true},
+    {"--no-phased", "phased", FlagRule::Fixed, false},
+    {"--workload", "workloads", FlagRule::Repeated},
+    {"--trace", "traces", FlagRule::Repeated},
+    {"--json", "json", FlagRule::Text},
+    {"--baseline", "baseline", FlagRule::Text},
+    {"--margin", "margin", FlagRule::Number, {}, 0, 100},
+};
+
 int
-cmdReport(int argc, char **argv)
+cmdAccuracy(int argc, char **argv)
 {
-    if (argc >= 1 && !std::strcmp(argv[0], "calibrate"))
-        return cmdCalibrate(argc - 1, argv + 1);
-    if (argc >= 1 && !std::strcmp(argv[0], "metrics"))
-        return cmdReportMetrics(argc - 1, argv + 1);
-    if (argc < 1 || std::strcmp(argv[0], "accuracy") != 0) {
-        std::fprintf(stderr,
-                     "usage: mipp_cli report accuracy [--grid "
-                     "ci|default|wide] [--uops N] [--threads N] [--full] "
-                     "[--no-phased] [--workload NAME]... [--json FILE] "
-                     "[--baseline FILE] [--margin PCT]\n"
-                     "       mipp_cli report calibrate [--grid "
-                     "ci|default|wide] [--uops N] [--threads N] "
-                     "[--no-phased] [--no-branch-fit] [--rounds N] "
-                     "[--workload NAME]... [--json FILE]\n"
-                     "       mipp_cli report metrics --socket PATH "
-                     "[--prometheus] [--out FILE]\n");
-        return 2;
-    }
-
+    const json::Value f(mapFlags(argc, argv, kAccuracyFlags));
     AccuracyOptions aopts;
-    std::string gridName = "default";
-    bool gridExplicit = false, full = false;
-    std::string jsonPath, baselinePath;
-    double margin = 2.0;
-
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&] { return flagValue(argc, argv, i); };
-        const char *v = nullptr;
-        if (!std::strcmp(argv[i], "--grid")) {
-            if (!(v = next()))
-                return 2;
-            gridName = v;
-            gridExplicit = true;
-        } else if (!std::strcmp(argv[i], "--json")) {
-            if (!(v = next()))
-                return 2;
-            jsonPath = v;
-        } else if (!std::strcmp(argv[i], "--baseline")) {
-            if (!(v = next()))
-                return 2;
-            baselinePath = v;
-        } else if (!std::strcmp(argv[i], "--margin")) {
-            margin = flagNumber(argc, argv, i, 0, 100);
-        } else if (!std::strcmp(argv[i], "--no-phased")) {
-            aopts.includePhased = false;
-        } else if (!std::strcmp(argv[i], "--workload")) {
-            if (!(v = next()))
-                return 2;
-            aopts.workloads.push_back(v);
-        } else if (!std::strcmp(argv[i], "--trace")) {
-            if (!(v = next()))
-                return 2;
-            aopts.traceFiles.push_back(v);
-        } else if (!std::strcmp(argv[i], "--threads")) {
-            aopts.threads =
-                static_cast<unsigned>(flagNumber(argc, argv, i, 0, 64));
-        } else if (!std::strcmp(argv[i], "--uops")) {
-            aopts.uops =
-                static_cast<size_t>(flagNumber(argc, argv, i, 100, 1e7));
-        } else if (!std::strcmp(argv[i], "--full")) {
-            full = true;
-        } else {
-            throw unknownFlag(argv[i]);
-        }
-    }
-    if (full) {
-        if (gridExplicit && gridName != "wide") {
+    std::string gridName = f.stringOr("grid", "default");
+    const std::string jsonPath = f.stringOr("json", "");
+    const std::string baselinePath = f.stringOr("baseline", "");
+    const double margin = f.numberOr("margin", 2.0);
+    aopts.uops = static_cast<size_t>(f.numberOr("uops", aopts.uops));
+    aopts.threads =
+        static_cast<unsigned>(f.numberOr("threads", aopts.threads));
+    aopts.includePhased = f.boolOr("phased", aopts.includePhased);
+    aopts.workloads = strings(f["workloads"]);
+    aopts.traceFiles = strings(f["traces"]);
+    if (f.boolOr("full", false)) {
+        if (f["grid"].isString() && gridName != "wide") {
             std::fprintf(stderr,
                          "--full conflicts with --grid %s (it selects "
                          "the wide grid)\n",
@@ -788,6 +657,19 @@ cmdReport(int argc, char **argv)
     return rc;
 }
 
+int
+cmdReport(int argc, char **argv)
+{
+    const std::string_view sub = argc >= 1 ? argv[0] : "";
+    if (sub == "accuracy")
+        return cmdAccuracy(argc - 1, argv + 1);
+    if (sub == "calibrate")
+        return cmdCalibrate(argc - 1, argv + 1);
+    if (sub == "metrics")
+        return cmdReportMetrics(argc - 1, argv + 1);
+    return usage("report");
+}
+
 std::atomic<bool> gServeStop{false};
 
 void
@@ -796,43 +678,35 @@ onServeSignal(int)
     gServeStop.store(true);
 }
 
+const FlagRule kServeFlags[] = {
+    {"--socket", "socket", FlagRule::Text},
+    {"--workers", "workers", FlagRule::Number, {}, 1, 64},
+    {"--queue", "queue", FlagRule::Number, {}, 1, 1e6},
+    {"--profiles", "profiles", FlagRule::Number, {}, 1, 1e4},
+    {"--deadline-ms", "deadline_ms", FlagRule::Number, {}, 0, 1e9},
+    {"--failpoints", "failpoints", FlagRule::Fixed, true},
+    {"--stats-interval-ms", "stats_interval_ms", FlagRule::Number, {}, 0,
+     1e9},
+};
+
 int
 cmdServe(int argc, char **argv)
 {
+    const json::Value f(mapFlags(argc, argv, kServeFlags));
     serve::ServerOptions sopts;
-    for (int i = 0; i < argc; ++i) {
-        auto next = [&] { return flagValue(argc, argv, i); };
-        const char *v = nullptr;
-        if (!std::strcmp(argv[i], "--socket")) {
-            if (!(v = next()))
-                return 2;
-            sopts.socketPath = v;
-        } else if (!std::strcmp(argv[i], "--workers")) {
-            sopts.workers =
-                static_cast<unsigned>(flagNumber(argc, argv, i, 1, 64));
-        } else if (!std::strcmp(argv[i], "--queue")) {
-            sopts.maxQueue =
-                static_cast<size_t>(flagNumber(argc, argv, i, 1, 1e6));
-        } else if (!std::strcmp(argv[i], "--profiles")) {
-            sopts.maxProfiles =
-                static_cast<size_t>(flagNumber(argc, argv, i, 1, 1e4));
-        } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-            sopts.defaultDeadlineMs = flagNumber(argc, argv, i, 0, 1e9);
-        } else if (!std::strcmp(argv[i], "--failpoints")) {
-            sopts.allowFailpoints = true;
-        } else if (!std::strcmp(argv[i], "--stats-interval-ms")) {
-            sopts.statsIntervalMs = flagNumber(argc, argv, i, 0, 1e9);
-        } else {
-            throw unknownFlag(argv[i]);
-        }
-    }
-    if (sopts.socketPath.empty()) {
-        std::fprintf(stderr,
-                     "usage: mipp_cli serve --socket PATH [--workers N] "
-                     "[--queue N] [--profiles N] [--deadline-ms D] "
-                     "[--failpoints] [--stats-interval-ms D]\n");
-        return 2;
-    }
+    sopts.socketPath = f.stringOr("socket", "");
+    sopts.workers =
+        static_cast<unsigned>(f.numberOr("workers", sopts.workers));
+    sopts.maxQueue = static_cast<size_t>(f.numberOr("queue", sopts.maxQueue));
+    sopts.maxProfiles =
+        static_cast<size_t>(f.numberOr("profiles", sopts.maxProfiles));
+    sopts.defaultDeadlineMs =
+        f.numberOr("deadline_ms", sopts.defaultDeadlineMs);
+    sopts.allowFailpoints = f.boolOr("failpoints", sopts.allowFailpoints);
+    sopts.statsIntervalMs =
+        f.numberOr("stats_interval_ms", sopts.statsIntervalMs);
+    if (sopts.socketPath.empty())
+        return usage("serve");
 
     serve::Server server(sopts);
     throwIfError(server.start());

@@ -394,8 +394,8 @@ struct Profile {
      * Note: staticBranches becomes an upper bound after a merge (the two
      * parts may share static branches); every other field stays exact.
      * For segment-parallel profiling of ONE stream use
-     * profileTraceParallel or profileSourceParallel, whose driver carries
-     * boundary state and is bit-identical to profileTrace.
+     * profileSourceParallel, whose driver carries boundary state and is
+     * bit-identical to profileTrace.
      */
     void merge(const Profile &other);
 };

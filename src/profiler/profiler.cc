@@ -126,14 +126,6 @@ profileTrace(const Trace &trace, const ProfilerConfig &cfg)
 }
 
 Profile
-profileTraceParallel(const Trace &trace, const ProfilerConfig &cfg,
-                     const ParallelProfileOptions &opts)
-{
-    MaterializedTraceSource src(trace);
-    return profileSourceParallel(src, cfg, opts);
-}
-
-Profile
 profileSource(TraceSource &source, const ProfilerConfig &cfg)
 {
     return profileSegments(source, cfg, 1, 0);

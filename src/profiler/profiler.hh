@@ -67,11 +67,6 @@ struct ParallelProfileOptions {
     size_t segmentUops = 0;
 };
 
-/** Profile @p trace in window-aligned segments, concurrently. */
-Profile profileTraceParallel(const Trace &trace,
-                             const ProfilerConfig &cfg = {},
-                             const ParallelProfileOptions &opts = {});
-
 class TraceSource;
 
 /**
@@ -81,8 +76,9 @@ class TraceSource;
  */
 Profile profileSource(TraceSource &source, const ProfilerConfig &cfg = {});
 
-/** Segment-parallel profileSource; peak memory O(threads * segment)
- *  uops for a source whose spans are copied. */
+/** Segment-parallel profileSource (over a MaterializedTraceSource for
+ *  an in-memory Trace); peak memory O(threads * segment) uops for a
+ *  source whose spans are copied. */
 Profile profileSourceParallel(TraceSource &source,
                               const ProfilerConfig &cfg = {},
                               const ParallelProfileOptions &opts = {});

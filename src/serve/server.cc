@@ -783,21 +783,23 @@ struct Server::Impl {
 
         ProfilerConfig cfg;
         cfg.name = name;
-        Profile p;
+        Trace generated;
+        std::unique_ptr<TraceSource> source;
         if (!tracePath.empty()) {
             // Streamed at bounded memory; the open fully validates the
             // file, so malformed bytes come back as a structured error
             // rather than touching the profiler.
-            std::unique_ptr<MtfTraceSource> source;
-            Status st = MtfTraceSource::open(tracePath, source);
+            std::unique_ptr<MtfTraceSource> mtf;
+            Status st = MtfTraceSource::open(tracePath, mtf);
             if (!st.isOk())
                 return st;
-            p = profileSourceParallel(*source, cfg, popts);
+            source = std::move(mtf);
         } else {
-            Trace t = generateWorkload(spec, uops);
-            p = profileTraceParallel(t, cfg, popts);
+            generated = generateWorkload(spec, uops);
+            source = std::make_unique<MaterializedTraceSource>(generated);
         }
-        storeProfile(name, std::move(p), body);
+        storeProfile(name, profileSourceParallel(*source, cfg, popts),
+                     body);
         return Status();
     }
 

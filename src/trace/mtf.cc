@@ -512,6 +512,18 @@ MtfTraceSource::reset()
     base_ = 0;
 }
 
+std::string
+traceBaseName(const std::string &path)
+{
+    size_t slash = path.find_last_of('/');
+    std::string base =
+        slash == std::string::npos ? path : path.substr(slash + 1);
+    size_t dot = base.find_last_of('.');
+    if (dot != std::string::npos && dot > 0)
+        base.resize(dot);
+    return base.empty() ? "trace" : base;
+}
+
 Status
 loadMtfTrace(const std::string &path, Trace &out, const MtfLimits &limits)
 {

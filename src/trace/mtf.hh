@@ -227,6 +227,11 @@ class MtfTraceSource final : public TraceSource
 Status loadMtfTrace(const std::string &path, Trace &out,
                     const MtfLimits &limits = {});
 
+/** The workload name a trace file stands for: its file name without
+ *  the extension ("runs/stream_add.mtf" → "stream_add"); "trace" when
+ *  that leaves nothing. */
+std::string traceBaseName(const std::string &path);
+
 } // namespace mipp
 
 #endif // MIPP_TRACE_MTF_HH

@@ -275,13 +275,7 @@ buildAccuracySuite(size_t uops, bool includePhased,
         Status st = loadMtfTrace(path, t);
         if (!st.isOk())
             throw StatusError(st);
-        size_t slash = path.find_last_of('/');
-        std::string base =
-            slash == std::string::npos ? path : path.substr(slash + 1);
-        size_t dot = base.find_last_of('.');
-        if (dot != std::string::npos && dot > 0)
-            base.resize(dot);
-        names.push_back(base.empty() ? path : base);
+        names.push_back(traceBaseName(path));
         traces.push_back(std::move(t));
     }
 }

@@ -1,14 +1,16 @@
 # Checks mipp_cli's argument handling and output:
 #   cmake -DCLI=<path> -DOUT=<dir>
-#         -DCHECK=profile_args|empty_trace|bad_flags|sweep_sim|golden
+#         -DCHECK=profile_args|empty_trace|bad_flags|usage|sweep_sim|golden
 #         -P check_mipp_cli.cmake
 # profile_args: non-numeric or out-of-range counts exit 2 with
 # InvalidArgument and write no profile. empty_trace: a 0-uop profile
-# (from an empty .mtf) evaluates to finite numbers. bad_flags: unknown
-# flags and bad counts of every command exit 2 with InvalidArgument.
-# sweep_sim: every front line of a simulating sweep carries its
-# simulation. golden: profile, evaluate and sweep text equals
-# mipp_cli.golden.
+# (from an empty .mtf) evaluates to finite numbers, and the uops
+# positional is ignored with --trace. bad_flags: unknown flags, missing
+# values and bad counts of every command exit 2 with InvalidArgument.
+# usage: a command missing its subcommand or a required flag exits 2
+# with that command's help. sweep_sim: every front line of a simulating
+# sweep carries its simulation. golden: profile, evaluate and sweep
+# text equals mipp_cli.golden.
 cmake_minimum_required(VERSION 3.20)
 file(MAKE_DIRECTORY ${OUT})
 
@@ -47,6 +49,19 @@ elseif(CHECK STREQUAL "empty_trace")
     message(FATAL_ERROR "record/profile/evaluate of an empty trace "
       "exited ${rc}/${rc2}/${rc3} (want 0/0/0, finite output):\n${out}")
   endif()
+  # The uops positional is ignored with --trace, even below the
+  # generated-workload range.
+  file(REMOVE ${OUT}/empty5.profile)
+  run(profile --trace ${OUT}/empty.mtf ${OUT}/empty5.profile 5)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "profile --trace ... 5 exited ${rc} (want 0): "
+      "${err}")
+  endif()
+  file(SHA256 ${OUT}/empty.profile sha)
+  file(SHA256 ${OUT}/empty5.profile sha5)
+  if(NOT sha STREQUAL sha5)
+    message(FATAL_ERROR "profile --trace ... 5 wrote another profile")
+  endif()
 elseif(CHECK STREQUAL "bad_flags")
   set(p ${OUT}/p.profile)
   run(profile balanced_mix ${p} 2000)
@@ -77,14 +92,16 @@ elseif(CHECK STREQUAL "bad_flags")
     "serve|--socket|${sock}|--queue|-5"
     "serve|--socket|${sock}|--workers|abc"
     "serve|--socket|${sock}|--deadline-ms|x"
-    "serve|--socket|${sock}|--bogus")
+    "serve|--socket|${sock}|--bogus"
+    "serve|--socket"
+    "report|metrics|--socket")
   foreach(extra "--mode;model" "--streaming" "--validate;3"
-      "--threads;abc" "--uops;abc" "--margin;x")
+      "--threads;abc" "--uops;abc" "--margin;x" "--json")
     string(REPLACE ";" "|" args "${acc};${extra}")
     list(APPEND cases "${args}")
   endforeach()
   foreach(extra "--full" "--mode;model" "--threads;abc" "--uops;abc"
-      "--rounds;0")
+      "--rounds;0" "--trace")
     string(REPLACE ";" "|" args "${cal};${extra}")
     list(APPEND cases "${args}")
   endforeach()
@@ -103,6 +120,31 @@ elseif(CHECK STREQUAL "bad_flags")
   if(NOT rc EQUAL 1 OR NOT err MATCHES "Internal")
     message(FATAL_ERROR "serve --socket ${sock} exited ${rc} "
       "(want 1, Internal): ${err}")
+  endif()
+elseif(CHECK STREQUAL "usage")
+  # Each usage error prints the help entry `mipp_cli help <topic>` shows.
+  foreach(case "report|report" "serve|serve"
+      "report metrics|report;metrics;--out;${OUT}/m.json")
+    string(REPLACE "|" ";" parts "${case}")
+    list(GET parts 0 topic)
+    list(SUBLIST parts 1 -1 args)
+    string(REPLACE " " ";" topic_args "${topic}")
+    run(help ${topic_args})
+    if(NOT rc EQUAL 0 OR out STREQUAL "")
+      message(FATAL_ERROR "mipp_cli help ${topic} exited ${rc}: ${err}")
+    endif()
+    set(help "${out}")
+    run(${args})
+    string(FIND "${err}" "${help}" at)
+    if(NOT rc EQUAL 2 OR at EQUAL -1)
+      message(FATAL_ERROR "mipp_cli ${args} exited ${rc} (want 2 and "
+        "the text of `mipp_cli help ${topic}`): ${err}")
+    endif()
+  endforeach()
+  # The report group's help lists every flag of its members.
+  run(report)
+  if(NOT err MATCHES "--check-grid")
+    message(FATAL_ERROR "mipp_cli report: usage lacks --check-grid: ${err}")
   endif()
 elseif(CHECK STREQUAL "sweep_sim")
   run(profile stencil ${OUT}/s.profile 5000)

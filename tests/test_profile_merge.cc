@@ -5,7 +5,7 @@
  * pooling phases into an aggregate): identity against empty profiles,
  * associativity (integer statistics exact; double accumulators to
  * rounding), determinism, and additivity of every count. Exact
- * single-stream parallelism is profileTraceParallel's job, not merge's.
+ * single-stream parallelism is profileSourceParallel's job, not merge's.
  */
 
 #include <gtest/gtest.h>

@@ -1,11 +1,12 @@
 /**
  * @file
- * Segment-parallel profiler parity: profileTraceParallel and the
- * TraceSource streaming drivers must produce Profiles *bit-identical*
- * to the sequential profileTrace for every workload, thread count and
- * segment size — the carry/absorb design resolves every cross-segment
- * observation to exactly the sequential value and replays every
- * order-sensitive float accumulation in stream order.
+ * Segment-parallel profiler parity: profileSourceParallel over an
+ * in-memory trace and the other TraceSource streaming drivers must
+ * produce Profiles *bit-identical* to the sequential profileTrace for
+ * every workload, thread count and segment size — the carry/absorb
+ * design resolves every cross-segment observation to exactly the
+ * sequential value and replays every order-sensitive float
+ * accumulation in stream order.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,7 @@ namespace mipp {
 namespace {
 
 // --------------------------------------------------------------------------
-// profileTraceParallel parity
+// profileSourceParallel parity over an in-memory trace
 // --------------------------------------------------------------------------
 
 TEST(ProfilerParallel, BitIdenticalAcrossWorkloads)
@@ -35,7 +36,8 @@ TEST(ProfilerParallel, BitIdenticalAcrossWorkloads)
         ProfilerConfig cfg;
         cfg.name = name;
         Profile seq = profileTrace(t, cfg);
-        Profile par = profileTraceParallel(t, cfg, {.threads = 4});
+        MaterializedTraceSource src(t);
+        Profile par = profileSourceParallel(src, cfg, {.threads = 4});
         SCOPED_TRACE(name);
         expectProfilesIdentical(par, seq);
     }
@@ -50,8 +52,9 @@ TEST(ProfilerParallel, BitIdenticalAcrossSegmentSizes)
     // windows, an unaligned request (rounded up internally), and more
     // segments than uops allow.
     for (size_t segUops : {20000ul, 60000ul, 30001ul, 999999ul}) {
-        Profile par = profileTraceParallel(
-            t, cfg, {.threads = 4, .segmentUops = segUops});
+        MaterializedTraceSource src(t);
+        Profile par = profileSourceParallel(
+            src, cfg, {.threads = 4, .segmentUops = segUops});
         SCOPED_TRACE(segUops);
         expectProfilesIdentical(par, seq);
     }
@@ -63,7 +66,8 @@ TEST(ProfilerParallel, BitIdenticalAcrossThreadCounts)
     ProfilerConfig cfg;
     Profile seq = profileTrace(t, cfg);
     for (unsigned threads : {2u, 3u, 8u}) {
-        Profile par = profileTraceParallel(t, cfg, {.threads = threads});
+        MaterializedTraceSource src(t);
+        Profile par = profileSourceParallel(src, cfg, {.threads = threads});
         SCOPED_TRACE(threads);
         expectProfilesIdentical(par, seq);
     }
@@ -77,7 +81,8 @@ TEST(ProfilerParallel, SparseBranchPathBitIdentical)
     ProfilerConfig cfg;
     cfg.historyBits = 14;
     Profile seq = profileTrace(t, cfg);
-    Profile par = profileTraceParallel(t, cfg, {.threads = 4});
+    MaterializedTraceSource src(t);
+    Profile par = profileSourceParallel(src, cfg, {.threads = 4});
     expectProfilesIdentical(par, seq);
 }
 
@@ -87,7 +92,8 @@ TEST(ProfilerParallel, UnsampledFallsBackToSequential)
     ProfilerConfig cfg;
     cfg.sampling = SamplingConfig::full();
     Profile seq = profileTrace(t, cfg);
-    Profile par = profileTraceParallel(t, cfg, {.threads = 4});
+    MaterializedTraceSource src(t);
+    Profile par = profileSourceParallel(src, cfg, {.threads = 4});
     expectProfilesIdentical(par, seq);
 }
 
@@ -96,7 +102,8 @@ TEST(ProfilerParallel, TinyAndEmptyTraces)
     ProfilerConfig cfg;
     {
         Trace t;
-        Profile par = profileTraceParallel(t, cfg, {.threads = 4});
+        MaterializedTraceSource src(t);
+        Profile par = profileSourceParallel(src, cfg, {.threads = 4});
         EXPECT_EQ(par.totalUops, 0u);
         EXPECT_TRUE(par.windows.empty());
     }
@@ -104,15 +111,17 @@ TEST(ProfilerParallel, TinyAndEmptyTraces)
         // Smaller than one sampling window: single segment, sequential.
         Trace t = generateWorkload(suiteWorkload("stream_add"), 5000);
         Profile seq = profileTrace(t, cfg);
-        Profile par = profileTraceParallel(t, cfg, {.threads = 4});
+        MaterializedTraceSource src(t);
+        Profile par = profileSourceParallel(src, cfg, {.threads = 4});
         expectProfilesIdentical(par, seq);
     }
     {
         // Barely two windows: one boundary to carry across.
         Trace t = generateWorkload(suiteWorkload("stream_add"), 40001);
         Profile seq = profileTrace(t, cfg);
-        Profile par = profileTraceParallel(
-            t, cfg, {.threads = 4, .segmentUops = 20000});
+        MaterializedTraceSource src(t);
+        Profile par = profileSourceParallel(
+            src, cfg, {.threads = 4, .segmentUops = 20000});
         expectProfilesIdentical(par, seq);
     }
 }
