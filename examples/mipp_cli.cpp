@@ -147,21 +147,25 @@ struct FlagRule {
  * are appended to @p positional; a command that takes none passes
  * null, and such an argument is an unknown flag. An unknown flag, a
  * missing value or a Number outside its range throws
- * StatusError(InvalidArgument).
+ * StatusError(InvalidArgument); a value that is one of @p rules' flags
+ * is missing.
  */
 json::Object
 mapFlags(int argc, char **argv, std::span<const FlagRule> rules,
          std::vector<std::string> *positional = nullptr)
 {
+    auto ruleFor = [&](const char *arg) {
+        return std::find_if(
+            rules.begin(), rules.end(),
+            [&](const FlagRule &r) { return !std::strcmp(r.flag, arg); });
+    };
     json::Object members;
     for (int i = 0; i < argc; ++i) {
         if (positional && argv[i][0] != '-') {
             positional->push_back(argv[i]);
             continue;
         }
-        auto rule = std::find_if(
-            rules.begin(), rules.end(),
-            [&](const FlagRule &r) { return !std::strcmp(r.flag, argv[i]); });
+        auto rule = ruleFor(argv[i]);
         if (rule == rules.end())
             throw unknownFlag(argv[i]);
         json::Value &member = members[rule->member];
@@ -169,7 +173,9 @@ mapFlags(int argc, char **argv, std::span<const FlagRule> rules,
             member = rule->fixed;
             continue;
         }
-        const char *value = i + 1 < argc ? argv[++i] : nullptr;
+        const char *value =
+            i + 1 < argc && ruleFor(argv[i + 1]) == rules.end() ? argv[++i]
+                                                                : nullptr;
         if (rule->as == FlagRule::Number) {
             member = numberArg(rule->flag, value, rule->lo, rule->hi);
         } else if (!value) {

@@ -38,8 +38,6 @@ class RidgeRegression
     /** Predict the (positive) target for @p features. */
     double predict(const std::vector<double> &features) const;
 
-    size_t numSamples() const { return targets_.size(); }
-
   private:
     double lambda_;
     std::vector<std::vector<double>> rows_;

@@ -107,8 +107,6 @@ class EvalContext
 
     /** StatStack over the combined load+store reuse stream. */
     const StatStack &stats() const { return ss_; }
-    /** StatStack over the instruction-fetch reuse stream. */
-    const StatStack &instStats() const { return ssI_; }
 
     /**
      * Configuration-independent per-window statistics hoisted out of the

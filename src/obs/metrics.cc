@@ -181,13 +181,6 @@ Registry::renderJsonArray() const
 }
 
 std::string
-Registry::renderJson() const
-{
-    return "{\"uptime_ms\":" + json::number(uptimeMs()) +
-           ",\"metrics\":" + renderJsonArray() + "}";
-}
-
-std::string
 Registry::renderPrometheus() const
 {
     std::lock_guard<std::mutex> lk(mu_);

@@ -215,9 +215,6 @@ class Registry
      *  histograms count/sum/max/mean/p50/p90/p99. */
     std::string renderJsonArray() const;
 
-    /** Full JSON document: {"uptime_ms":..,"metrics":[...]}. */
-    std::string renderJson() const;
-
     /** Prometheus text exposition (TYPE lines, cumulative buckets for
      *  histograms, only non-empty buckets plus +Inf). */
     std::string renderPrometheus() const;

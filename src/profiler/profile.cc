@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace mipp {
 
@@ -13,30 +12,6 @@ defaultRobSizes()
     for (uint32_t s = 16; s <= 256; s += 16)
         sizes.push_back(s);
     return sizes;
-}
-
-void
-DependenceChains::merge(const DependenceChains &other)
-{
-    if (other.robSizes_.empty())
-        return;
-    if (robSizes_.empty()) {
-        *this = other;
-        return;
-    }
-    // The accumulator rows are positional; merging across different ROB
-    // size sets would silently mix unrelated sizes (or run off the end of
-    // the shorter vectors).
-    if (robSizes_ != other.robSizes_)
-        throw std::invalid_argument(
-            "DependenceChains::merge: mismatched ROB size sets");
-    for (size_t i = 0; i < robSizes_.size(); ++i) {
-        ap_[i] += other.ap_[i];
-        abp_[i] += other.abp_[i];
-        cp_[i] += other.cp_[i];
-        weight_[i] += other.weight_[i];
-        abpWeight_[i] += other.abpWeight_[i];
-    }
 }
 
 double
@@ -133,121 +108,6 @@ StaticMemProfile::dominantStrides() const
     for (size_t k = 0; k < byFreq.size() && k < 4; ++k)
         out.push_back(byFreq[k].second);
     return out;
-}
-
-namespace {
-
-/** Merge two sorted StrideMaps, summing counts of equal strides. */
-StrideMap
-mergeStrides(const StrideMap &a, const StrideMap &b)
-{
-    StrideMap out;
-    out.reserve(a.size() + b.size());
-    size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i].first < b[j].first) {
-            out.push_back(a[i++]);
-        } else if (b[j].first < a[i].first) {
-            out.push_back(b[j++]);
-        } else {
-            out.emplace_back(a[i].first, a[i].second + b[j].second);
-            ++i;
-            ++j;
-        }
-    }
-    out.insert(out.end(), a.begin() + i, a.end());
-    out.insert(out.end(), b.begin() + j, b.end());
-    return out;
-}
-
-} // namespace
-
-void
-Profile::merge(const Profile &other)
-{
-    if (other.empty())
-        return;
-    if (empty()) {
-        std::string keep = name;
-        *this = other;
-        if (!keep.empty())
-            name = std::move(keep);
-        return;
-    }
-    if (robSizes != other.robSizes)
-        throw std::invalid_argument("Profile::merge: mismatched robSizes");
-    if (branch.historyBits != other.branch.historyBits)
-        throw std::invalid_argument(
-            "Profile::merge: mismatched branch history length");
-
-    totalUops += other.totalUops;
-    profiledUops += other.profiledUops;
-    profiledInsts += other.profiledInsts;
-    for (int t = 0; t < kNumUopTypes; ++t)
-        uopCounts[t] += other.uopCounts[t];
-    srcOperands += other.srcOperands;
-    dstOperands += other.dstOperands;
-
-    chains.merge(other.chains);
-    for (size_t i = 0; i < robSizes.size(); ++i) {
-        for (int l = 0; l < LoadDepProfile::kMaxDepth; ++l)
-            loadDeps.histo[i][l] += other.loadDeps.histo[i][l];
-        loadDeps.loads[i] += other.loadDeps.loads[i];
-        loadDeps.windows[i] += other.loadDeps.windows[i];
-        loadDeps.independentLoads[i] += other.loadDeps.independentLoads[i];
-        cold.windowsWithCold[i] += other.cold.windowsWithCold[i];
-        cold.coldInWindows[i] += other.cold.coldInWindows[i];
-        cold.totalWindows[i] += other.cold.totalWindows[i];
-    }
-    cold.coldLoadMisses += other.cold.coldLoadMisses;
-
-    branch.branches += other.branch.branches;
-    branch.entropySum += other.branch.entropySum;
-    // Distinct pcs may overlap between the parts; this is documented as
-    // an upper bound on the merged profile.
-    branch.staticBranches += other.branch.staticBranches;
-
-    reuseLoads.merge(other.reuseLoads);
-    reuseStores.merge(other.reuseStores);
-    reuseAll.merge(other.reuseAll);
-    reuseInsts.merge(other.reuseInsts);
-
-    // Unify static memory ops by pc; remember where each of other's ops
-    // landed so the appended windows can be re-indexed.
-    std::vector<uint32_t> remap(other.memOps.size());
-    for (size_t j = 0; j < other.memOps.size(); ++j) {
-        const StaticMemProfile &o = other.memOps[j];
-        size_t i = 0;
-        for (; i < memOps.size(); ++i)
-            if (memOps[i].pc == o.pc)
-                break;
-        if (i == memOps.size()) {
-            remap[j] = static_cast<uint32_t>(memOps.size());
-            memOps.push_back(o);
-            continue;
-        }
-        remap[j] = static_cast<uint32_t>(i);
-        StaticMemProfile &s = memOps[i];
-        s.count += o.count;
-        s.reuse.merge(o.reuse);
-        s.strides = mergeStrides(s.strides, o.strides);
-        s.firstPosSum += o.firstPosSum;
-        s.gapSum += o.gapSum;
-        s.gapCount += o.gapCount;
-        s.microTraces += o.microTraces;
-        s.loadDepthSum += o.loadDepthSum;
-        s.loadDepthCount += o.loadDepthCount;
-        s.selfDependent += o.selfDependent;
-    }
-
-    windows.reserve(windows.size() + other.windows.size());
-    for (const WindowProfile &w : other.windows) {
-        WindowProfile wc = w;
-        for (auto &[idx, cnt] : wc.memCounts)
-            idx = remap[idx];
-        std::sort(wc.memCounts.begin(), wc.memCounts.end());
-        windows.push_back(std::move(wc));
-    }
 }
 
 size_t

@@ -61,9 +61,6 @@ class DependenceChains
         }
     }
 
-    /** Merge accumulated samples of another instance. */
-    void merge(const DependenceChains &other);
-
     /** Profiled mean at size index @p i. */
     double apAt(size_t i) const
     {
@@ -371,33 +368,6 @@ struct Profile {
 
     /** Index of the profiled ROB size nearest to (>=) @p rob. */
     size_t robIndex(uint32_t rob) const;
-
-    /** True when nothing has been profiled into this object. */
-    bool
-    empty() const
-    {
-        return totalUops == 0 && profiledUops == 0 && windows.empty() &&
-               memOps.empty();
-    }
-
-    /**
-     * Fold another *finalized* profile into this one, treating the two as
-     * independent program parts (no cross-profile reuse or history carry:
-     * @p other's cold misses stay cold, its branch history starts fresh).
-     * All counters are sums; static memory ops are unified by pc (the
-     * receiver's nominal type wins, stride sets merge uncapped); window
-     * lists concatenate in argument order with their memCounts re-indexed.
-     * Merging into an empty profile copies @p other wholesale, so the
-     * empty profile is the identity. Requires identical robSizes and
-     * branch historyBits; throws std::invalid_argument otherwise.
-     *
-     * Note: staticBranches becomes an upper bound after a merge (the two
-     * parts may share static branches); every other field stays exact.
-     * For segment-parallel profiling of ONE stream use
-     * profileSourceParallel, whose driver carries boundary state and is
-     * bit-identical to profileTrace.
-     */
-    void merge(const Profile &other);
 };
 
 } // namespace mipp

@@ -534,12 +534,4 @@ saveProfile(const Profile &profile, const std::string &path)
     return static_cast<bool>(os);
 }
 
-Profile
-loadProfile(const std::string &path)
-{
-    Profile p;
-    throwIfError(loadProfileChecked(path, p));
-    return p;
-}
-
 } // namespace mipp

@@ -75,10 +75,6 @@ Status parseProfile(const std::string &data, Profile &out,
 Status loadProfileChecked(const std::string &path, Profile &out,
                           const ProfileLimits &limits = {});
 
-/** loadProfileChecked throwing StatusError (a std::runtime_error) on
- *  malformed input or I/O failure. */
-Profile loadProfile(const std::string &path);
-
 } // namespace mipp
 
 #endif // MIPP_PROFILER_PROFILE_IO_HH

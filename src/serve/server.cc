@@ -4,7 +4,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -15,6 +14,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -276,14 +276,35 @@ struct Server::Impl {
     };
     Metrics met;
 
-    /** Dispatch table row: wire op name, span site, latency histogram
-     *  (serve_op_latency_ns{op="..."}); last row catches unknown ops. */
-    struct OpInfo {
-        const char *op = nullptr;
-        const char *span = nullptr;
-        obs::LatencyHistogram *lat = nullptr;
+    /** A wire op: its name, span site and handler. */
+    struct Op {
+        const char *name;
+        const char *span;
+        Status (Impl::*run)(const json::Value &, const CancelToken &,
+                            std::string &);
     };
-    std::array<OpInfo, 10> opInfo;
+
+    /** Every op execute() dispatches, in the order their
+     *  serve_op_latency_ns{op="..."} histograms register; the unknown-op
+     *  error lists them. A request naming none times as op "other". */
+    static std::span<const Op>
+    ops()
+    {
+        static constexpr Op kOps[] = {
+            {"ping", "serve.op.ping", &Impl::opPing},
+            {"load-profile", "serve.op.load_profile", &Impl::opLoadProfile},
+            {"profile", "serve.op.profile", &Impl::opProfileWorkload},
+            {"evaluate", "serve.op.evaluate", &Impl::opEvaluate},
+            {"sweep", "serve.op.sweep", &Impl::opSweep},
+            {"accuracy", "serve.op.accuracy", &Impl::opAccuracy},
+            {"stats", "serve.op.stats", &Impl::opStats},
+            {"metrics", "serve.op.metrics", &Impl::opMetrics},
+            {"failpoint", "serve.op.failpoint", &Impl::opFailpoint},
+        };
+        return kOps;
+    }
+    /** opLatency[i] times ops()[i]; the last entry times unknown ops. */
+    std::vector<obs::LatencyHistogram *> opLatency;
 
     std::atomic<uint64_t> startNs{0}; // obs::nowNs() at start()
 
@@ -293,22 +314,13 @@ struct Server::Impl {
 
     explicit Impl(ServerOptions o) : opts(std::move(o))
     {
-        static constexpr const char *kOps[] = {
-            "ping",     "load-profile", "profile",
-            "evaluate", "sweep",        "accuracy",
-            "stats",    "metrics",      "failpoint",
-            "other"};
-        static constexpr const char *kSpans[] = {
-            "serve.op.ping",     "serve.op.load_profile",
-            "serve.op.profile",  "serve.op.evaluate",
-            "serve.op.sweep",    "serve.op.accuracy",
-            "serve.op.stats",    "serve.op.metrics",
-            "serve.op.failpoint", "serve.op.other"};
-        for (size_t i = 0; i < opInfo.size(); ++i)
-            opInfo[i] = {kOps[i], kSpans[i],
-                         &met.reg.histogram(
-                             "serve_op_latency_ns",
-                             std::string("op=\"") + kOps[i] + "\"")};
+        auto latency = [&](const char *op) {
+            return &met.reg.histogram("serve_op_latency_ns",
+                                      std::string("op=\"") + op + "\"");
+        };
+        for (const Op &op : ops())
+            opLatency.push_back(latency(op.name));
+        opLatency.push_back(latency("other"));
     }
 
     double
@@ -644,52 +656,46 @@ struct Server::Impl {
     execute(const json::Value &doc, const CancelToken &tok,
             std::string &body)
     {
-        const std::string op = doc.stringOr("op", "");
-        size_t opIdx = opInfo.size() - 1; // "other"
-        for (size_t i = 0; i + 1 < opInfo.size(); ++i)
-            if (op == opInfo[i].op) {
-                opIdx = i;
-                break;
-            }
-        obs::ScopedSpan opSpan(opInfo[opIdx].span, opInfo[opIdx].lat);
-
-        if (op == "ping")
-            return Status();
-        if (op == "load-profile")
-            return opLoadProfile(doc, body);
-        if (op == "profile")
-            return opProfileWorkload(doc, body);
-        if (op == "evaluate")
-            return opEvaluate(doc, body);
-        if (op == "sweep")
-            return opSweep(doc, tok, body);
-        if (op == "accuracy")
-            return opAccuracy(doc, tok, body);
-        if (op == "stats") {
-            opStats(body);
-            return Status();
+        const std::string name = doc.stringOr("op", "");
+        const std::span<const Op> all = ops();
+        size_t i = 0;
+        while (i < all.size() && name != all[i].name)
+            ++i;
+        if (i < all.size()) {
+            obs::ScopedSpan opSpan(all[i].span, opLatency[i]);
+            return (this->*all[i].run)(doc, tok, body);
         }
-        if (op == "metrics")
-            return opMetrics(doc, body);
-        if (op == "failpoint") {
-            if (!opts.allowFailpoints)
-                return invalidArgument("failpoints are not enabled on this "
-                                       "server (--failpoints)");
-            const std::string spec = doc.stringOr("spec", "");
-            if (spec == "reset")
-                failpoint::reset();
-            else if (!failpoint::armFromString(spec))
-                return invalidArgument("bad failpoint spec '" + spec +
-                                       "' (name[=fires[:sleepMs]])");
-            return Status();
-        }
-        return invalidArgument("unknown op '" + op +
-                               "' (ping|load-profile|profile|evaluate|"
-                               "sweep|accuracy|stats|metrics|failpoint)");
+        obs::ScopedSpan opSpan("serve.op.other", opLatency[i]);
+        std::string names;
+        for (const Op &op : all)
+            names += (names.empty() ? "" : "|") + std::string(op.name);
+        return invalidArgument("unknown op '" + name + "' (" + names + ")");
     }
 
     Status
-    opLoadProfile(const json::Value &doc, std::string &body)
+    opPing(const json::Value &, const CancelToken &, std::string &)
+    {
+        return Status();
+    }
+
+    Status
+    opFailpoint(const json::Value &doc, const CancelToken &, std::string &)
+    {
+        if (!opts.allowFailpoints)
+            return invalidArgument("failpoints are not enabled on this "
+                                   "server (--failpoints)");
+        const std::string spec = doc.stringOr("spec", "");
+        if (spec == "reset")
+            failpoint::reset();
+        else if (!failpoint::armFromString(spec))
+            return invalidArgument("bad failpoint spec '" + spec +
+                                   "' (name[=fires[:sleepMs]])");
+        return Status();
+    }
+
+    Status
+    opLoadProfile(const json::Value &doc, const CancelToken &,
+                  std::string &body)
     {
         const std::string name = doc.stringOr("name", "");
         if (name.empty())
@@ -753,7 +759,8 @@ struct Server::Impl {
      * serializing a profile.
      */
     Status
-    opProfileWorkload(const json::Value &doc, std::string &body)
+    opProfileWorkload(const json::Value &doc, const CancelToken &,
+                      std::string &body)
     {
         const std::string workload = doc.stringOr("workload", "");
         const std::string tracePath = doc.stringOr("trace", "");
@@ -820,7 +827,8 @@ struct Server::Impl {
     }
 
     Status
-    opEvaluate(const json::Value &doc, std::string &body)
+    opEvaluate(const json::Value &doc, const CancelToken &,
+               std::string &body)
     {
         const std::string name = doc.stringOr("profile", "");
         auto entry = findProfile(name);
@@ -928,8 +936,10 @@ struct Server::Impl {
                                        "' needs a suite workload profile, "
                                        "not '" + prof.name + "'");
             }
+            // Under the request's token: a trace cut short is never
+            // simulated, since sweepEx starts no work once it fired.
             traces[0] = generateWorkload(
-                spec, static_cast<size_t>(prof.totalUops));
+                spec, static_cast<size_t>(prof.totalUops), tok);
         }
 
         // The sweep runs on the entry's warm context; the entry lock
@@ -1016,8 +1026,8 @@ struct Server::Impl {
         return Status();
     }
 
-    void
-    opStats(std::string &body)
+    Status
+    opStats(const json::Value &, const CancelToken &, std::string &body)
     {
         ServerStats s = snapshotStats();
         std::vector<std::string> names;
@@ -1056,10 +1066,12 @@ struct Server::Impl {
             body += json::quote(names[i]);
         }
         body += ']';
+        return Status();
     }
 
     Status
-    opMetrics(const json::Value &doc, std::string &body)
+    opMetrics(const json::Value &doc, const CancelToken &,
+              std::string &body)
     {
         const std::string format = doc.stringOr("format", "json");
         if (format != "json" && format != "prometheus" &&
@@ -1152,18 +1164,6 @@ const ServerOptions &
 Server::options() const
 {
     return impl_->opts;
-}
-
-std::string
-Server::metricsJson() const
-{
-    return impl_->met.reg.renderJson();
-}
-
-std::string
-Server::metricsPrometheus() const
-{
-    return impl_->met.reg.renderPrometheus();
 }
 
 Status

@@ -65,7 +65,9 @@
  *    reset op; rate and delta math belongs to the scraper, anchored
  *    on `uptime_ms` (milliseconds since Server::start()).
  *
- * One dispatcher, Server::execute, runs every op. The executors call it
+ * One dispatcher, Server::execute, runs every op from one table of
+ * {op, span, handler} rows, which also names each op's latency
+ * histogram and the unknown-op error's list. The executors call it
  * for requests read off the socket; `mipp_cli profile`, `evaluate` and
  * `sweep` call it in process on a server that is never started, so the
  * CLI and the daemon validate, compute and print the same values.
@@ -155,11 +157,6 @@ class Server
     bool running() const;
     ServerStats stats() const;
     const ServerOptions &options() const;
-
-    /** Full metrics registry renders (what the `metrics` op serves);
-     *  usable without a connection (tests, in-process embedding). */
-    std::string metricsJson() const;
-    std::string metricsPrometheus() const;
 
     /**
      * Run one parsed request, the one dispatcher behind every op: on

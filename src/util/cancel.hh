@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <memory>
 
 namespace mipp {
@@ -92,27 +91,9 @@ class CancelToken
         return false;
     }
 
-    bool hasDeadline() const { return state_ && state_->hasDeadline; }
-
     /** Identity of the shared state (null token = nullptr); lets
      *  registries match tokens without exposing the state itself. */
     const void *id() const { return state_.get(); }
-
-    /** Milliseconds until the deadline (+inf without one, <= 0 when
-     *  expired or already cancelled). */
-    double
-    remainingMs() const
-    {
-        if (!state_)
-            return std::numeric_limits<double>::infinity();
-        if (state_->cancelled.load(std::memory_order_relaxed))
-            return 0;
-        if (!state_->hasDeadline)
-            return std::numeric_limits<double>::infinity();
-        return std::chrono::duration<double, std::milli>(
-                   state_->deadline - Clock::now())
-            .count();
-    }
 
   private:
     std::shared_ptr<State> state_;

@@ -16,19 +16,6 @@ statusCodeName(StatusCode c)
     return "Internal";
 }
 
-StatusCode
-statusCodeFromName(std::string_view name)
-{
-    for (StatusCode c : {StatusCode::Ok, StatusCode::InvalidArgument,
-                         StatusCode::DeadlineExceeded,
-                         StatusCode::ResourceExhausted, StatusCode::Corrupt,
-                         StatusCode::Internal}) {
-        if (name == statusCodeName(c))
-            return c;
-    }
-    return StatusCode::Internal;
-}
-
 std::string
 Status::toString() const
 {

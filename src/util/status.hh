@@ -50,9 +50,6 @@ enum class StatusCode : uint8_t {
 /** Stable wire/report name ("Ok", "InvalidArgument", ...). */
 std::string_view statusCodeName(StatusCode c);
 
-/** Inverse of statusCodeName; Internal for unknown names. */
-StatusCode statusCodeFromName(std::string_view name);
-
 class Status
 {
   public:

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -521,14 +522,6 @@ strings(const json::Value &v)
 }
 
 } // namespace
-
-std::map<std::string, double>
-loadBaselineMapes(const std::string &path)
-{
-    json::Value doc;
-    throwIfError(json::parseFile(path, doc));
-    return baselineMapes(doc, path);
-}
 
 std::vector<std::string>
 compareToBaseline(const AccuracyReport &r, const std::string &baselinePath,

@@ -46,7 +46,6 @@
 #define MIPP_VALIDATE_ACCURACY_HH
 
 #include <array>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -212,11 +211,6 @@ std::string accuracyJson(const AccuracyReport &r);
 /** Write accuracyJson(r) to @p path. @return success. */
 bool writeAccuracyJson(const AccuracyReport &r, const std::string &path);
 
-/** Load the per-metric MAPEs from a golden baseline JSON written by
- *  writeAccuracyJson(); a metric without a numeric "mape" is skipped.
- *  Throws std::runtime_error on unreadable or malformed input. */
-std::map<std::string, double> loadBaselineMapes(const std::string &path);
-
 /**
  * Regression gate: compare a fresh report's suite MAPEs against a golden
  * baseline. @return one entry per regressed metric (fresh MAPE exceeds
@@ -224,7 +218,9 @@ std::map<std::string, double> loadBaselineMapes(const std::string &path);
  * store their MAPEs exactly, so a report passes against itself at
  * margin 0. When the golden records its provenance (uops, grid,
  * workloads), a mismatching report fails the gate outright — MAPEs from
- * different grids are not comparable. Throws like loadBaselineMapes.
+ * different grids are not comparable. A golden metric without a
+ * numeric "mape" is not gated. Throws std::runtime_error on an
+ * unreadable or malformed baseline, or one with no metric MAPEs.
  */
 std::vector<std::string> compareToBaseline(const AccuracyReport &r,
                                            const std::string &baselinePath,

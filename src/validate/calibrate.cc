@@ -6,7 +6,6 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 
 #include "model/eval_cache.hh"
 #include "obs/trace.hh"
@@ -360,75 +359,6 @@ writeCalibrationJson(const CalibrationReport &r, const std::string &path)
         return false;
     out << calibrationJson(r);
     return static_cast<bool>(out);
-}
-
-namespace {
-
-/** Fill @p out from a report's summary object; an absent metric or
- *  field reads 0. */
-void
-readSummary(const json::Value &v,
-            std::array<MetricSummary, kNumAccuracyMetrics> &out)
-{
-    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
-        const json::Value &m =
-            v[accuracyMetricName(static_cast<AccuracyMetric>(k))];
-        out[k] = {m.numberOr("mape", 0), m.numberOr("meanSigned", 0),
-                  m.numberOr("maxAbs", 0), m.numberOr("minSigned", 0),
-                  m.numberOr("maxSigned", 0)};
-    }
-}
-
-} // namespace
-
-CalibrationReport
-loadCalibrationJson(const std::string &path)
-{
-    json::Value doc;
-    throwIfError(json::parseFile(path, doc));
-    if (doc["schema"].str() != "mipp-calibration-v1")
-        throw std::runtime_error(path + " is not a calibration report");
-
-    CalibrationReport r;
-    double uops = doc.numberOr("uops", 0);
-    if (!(uops >= 0 && uops < 1e18))
-        throw std::runtime_error(path + ": uops out of range");
-    r.uops = static_cast<size_t>(uops);
-
-    const json::Value &cal = doc["calibration"];
-    if (!cal.isObject())
-        throw std::runtime_error(path + " has no calibration section");
-    r.cal.penaltyScale = cal.numberOr("penaltyScale", 1.0);
-    r.cal.baseWindowFrac = cal.numberOr("baseWindowFrac", 0.0);
-    r.cal.mlpWindowFrac = cal.numberOr("mlpWindowFrac", 0.0);
-    r.cal.shadowScale = cal.numberOr("shadowScale", 1.0);
-    r.cal.busQueueScale = cal.numberOr("busQueueScale", 1.0);
-    r.cal.coldInject = cal.numberOr("coldInject", 0.0);
-
-    for (const json::Value &f : doc["branchFits"].array()) {
-        BranchMissModel m;
-        for (size_t k = 0; k < kNumKinds; ++k) {
-            auto kind = static_cast<BranchPredictorKind>(k);
-            if (branchPredictorName(kind) == f["kind"].str())
-                m.kind = kind;
-        }
-        m.slope = f.numberOr("slope", m.slope);
-        m.intercept = f.numberOr("intercept", m.intercept);
-        m.knee = f.numberOr("knee", m.knee);
-        m.kneeSlope = f.numberOr("kneeSlope", m.kneeSlope);
-        r.branchFits.push_back(m);
-        r.branchR2.push_back(f.numberOr("r2", 0.0));
-    }
-
-    readSummary(doc["before"], r.before);
-    readSummary(doc["after"], r.after);
-    for (const json::Value &g : doc["gridChecks"].array()) {
-        CalibrationReport::GridCheck gc;
-        gc.grid = g["grid"].str();
-        readSummary(g["summary"], gc.summary);
-        r.gridChecks.push_back(std::move(gc));
-    }
-    return r;
 }
 
 } // namespace mipp

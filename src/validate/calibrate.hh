@@ -133,15 +133,6 @@ std::string calibrationJson(const CalibrationReport &r);
 bool writeCalibrationJson(const CalibrationReport &r,
                           const std::string &path);
 
-/**
- * Parse a JSON report written by calibrationJson (fits, coefficients,
- * before/after summaries, grid checks; the branch training points and
- * the grid/workload names are not restored). An absent key keeps its
- * default. Throws std::runtime_error on unreadable or malformed JSON and
- * on a document whose "schema" is not "mipp-calibration-v1".
- */
-CalibrationReport loadCalibrationJson(const std::string &path);
-
 } // namespace mipp
 
 #endif // MIPP_VALIDATE_CALIBRATE_HH

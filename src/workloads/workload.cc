@@ -351,7 +351,8 @@ WorkloadSpec::validate() const
 }
 
 Trace
-generateWorkload(const WorkloadSpec &spec, size_t nUops)
+generateWorkload(const WorkloadSpec &spec, size_t nUops,
+                 const CancelToken &cancel)
 {
     spec.validate();
     Rng rng(spec.seed);
@@ -369,7 +370,7 @@ generateWorkload(const WorkloadSpec &spec, size_t nUops)
         return producers.recent(dist);
     };
 
-    while (trace.size() < nUops) {
+    while (trace.size() < nUops && !cancel.cancelled()) {
         for (auto &si : body.insts) {
             if (trace.size() >= nUops)
                 break;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "trace/trace.hh"
+#include "util/cancel.hh"
 
 namespace mipp {
 
@@ -114,8 +115,13 @@ struct WorkloadSpec {
     void validate() const;
 };
 
-/** Generate @p nUops micro-ops for @p spec. Deterministic in spec.seed. */
-Trace generateWorkload(const WorkloadSpec &spec, size_t nUops);
+/**
+ * Generate @p nUops micro-ops for @p spec. Deterministic in spec.seed.
+ * @p cancel is checked once per pass over the loop body; once it fires
+ * the trace ends short, at the end of that pass.
+ */
+Trace generateWorkload(const WorkloadSpec &spec, size_t nUops,
+                       const CancelToken &cancel = {});
 
 /** A workload made of consecutive phases with different behaviour. */
 struct PhasedSpec {

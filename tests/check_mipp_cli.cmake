@@ -6,7 +6,8 @@
 # InvalidArgument and write no profile. empty_trace: a 0-uop profile
 # (from an empty .mtf) evaluates to finite numbers, and the uops
 # positional is ignored with --trace. bad_flags: unknown flags, missing
-# values and bad counts of every command exit 2 with InvalidArgument.
+# values (a flag is no flag's value) and bad counts of every command
+# exit 2 with InvalidArgument.
 # usage: a command missing its subcommand or a required flag exits 2
 # with that command's help. sweep_sim: every front line of a simulating
 # sweep carries its simulation. golden: profile, evaluate and sweep
@@ -115,6 +116,18 @@ elseif(CHECK STREQUAL "bad_flags")
         "InvalidArgument, no file): ${err}")
     endif()
   endforeach()
+  # A flag is no flag's value: `--json --no-phased` must not write the
+  # report to a file named --no-phased and drop that flag.
+  file(REMOVE ${OUT}/--no-phased)
+  execute_process(COMMAND ${CLI} report accuracy --grid ci --uops 1000
+    --workload balanced_mix --json --no-phased WORKING_DIRECTORY ${OUT}
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "InvalidArgument.*--json requires"
+      OR EXISTS ${OUT}/--no-phased)
+    message(FATAL_ERROR "mipp_cli report accuracy ... --json --no-phased "
+      "exited ${rc} (want 2, --json requires a value, no --no-phased "
+      "file): ${err}")
+  endif()
   # The socket above really cannot be bound.
   run(serve --socket ${sock})
   if(NOT rc EQUAL 1 OR NOT err MATCHES "Internal")

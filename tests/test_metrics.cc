@@ -196,12 +196,11 @@ TEST(Metrics, RegistryJsonRoundTrip)
 
     // The render must survive the repo's own strict parser.
     json::Value doc;
-    Status st = json::parse(reg.renderJson(), doc);
+    Status st = json::parse(reg.renderJsonArray(), doc);
     ASSERT_TRUE(st.isOk()) << st.toString();
-    EXPECT_GE(doc.numberOr("uptime_ms", -1), 0.0);
 
     bool sawCounter = false, sawGauge = false, sawHist = false;
-    for (const json::Value &m : doc["metrics"].array()) {
+    for (const json::Value &m : doc.array()) {
         const std::string name = m.stringOr("name", "");
         if (name == "req_total") {
             sawCounter = true;

@@ -126,7 +126,8 @@ TEST(ProfileIo, FileSaveAndLoad)
     Profile p = profileTrace(t, {.name = "loopy_small"});
     std::string path = "/tmp/mipp_test_profile.txt";
     ASSERT_TRUE(saveProfile(p, path));
-    Profile q = loadProfile(path);
+    Profile q;
+    ASSERT_TRUE(loadProfileChecked(path, q).isOk());
     EXPECT_EQ(q.name, "loopy_small");
     EXPECT_EQ(q.totalUops, p.totalUops);
     std::remove(path.c_str());
@@ -134,8 +135,9 @@ TEST(ProfileIo, FileSaveAndLoad)
 
 TEST(ProfileIo, LoadMissingFileThrows)
 {
-    EXPECT_THROW(loadProfile("/nonexistent/x.profile"),
-                 std::runtime_error);
+    Profile q;
+    EXPECT_EQ(loadProfileChecked("/nonexistent/x.profile", q).code(),
+              StatusCode::InvalidArgument);
 }
 
 TEST(ProfileIo, ChecksumCatchesSingleBitFlip)
@@ -227,16 +229,14 @@ TEST(ProfileIoCorpus, EverySampleIsAStructuredError)
 
 TEST(ProfileIoCorpus, CorruptSamplesLeaveCheckedApiNoexceptPath)
 {
-    // The throwing wrappers map the same corpus to StatusError with the
-    // code preserved.
+    // The file loader reports a corrupt sample as a Status, not by
+    // throwing.
     std::string path =
         std::string(MIPP_TEST_CORPUS_DIR) + "/bitflip.profile";
-    try {
-        loadProfile(path);
-        FAIL() << "corrupt sample should not load";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.code(), StatusCode::Corrupt);
-    }
+    Profile out;
+    Status st;
+    EXPECT_NO_THROW(st = loadProfileChecked(path, out));
+    EXPECT_EQ(st.code(), StatusCode::Corrupt);
 }
 
 } // namespace

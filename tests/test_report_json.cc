@@ -1,11 +1,11 @@
 /**
  * @file
  * The one JSON implementation (src/util/json) as the report format:
- * json::number round-trips every double exactly, and the accuracy and
- * calibration report readers survive every truncation and seeded
- * single-byte corruption of a written report — each input either loads
- * or throws std::runtime_error, never crashes (this suite also runs
- * under ASan+UBSan).
+ * json::number round-trips every double exactly, and the accuracy
+ * baseline gate survives every truncation and seeded single-byte
+ * corruption of a written report — each input either loads or throws
+ * std::runtime_error, never crashes (this suite also runs under
+ * ASan+UBSan).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 
 #include "util/json.hh"
 #include "validate/accuracy.hh"
-#include "validate/calibrate.hh"
 
 namespace mipp {
 namespace {
@@ -116,32 +115,6 @@ accuracyReport()
     return r;
 }
 
-/** A calibration report with every section populated. */
-CalibrationReport
-calibrationReport()
-{
-    CalibrationReport r;
-    r.uops = 60000;
-    r.gridNames = {"nehalem", "little"};
-    r.workloadNames = {"before", "after"};
-    r.cal = {0.45, 1.0 / 3, 2.5, 0.6, 0.33, 0.8};
-    BranchMissModel m;
-    m.kind = BranchPredictorKind::Tournament;
-    m.slope = 0.21;
-    r.branchFits = {m, m};
-    r.branchR2 = {0.87, 0.5};
-    r.branchPoints = {{m.kind, "after", 0.4, 0.02}};
-    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
-        r.before[k] = {10.5 + k, -3.25, 40.0, -40.0, 12.0};
-        r.after[k] = {4.5 + k, 0.25, 12.0, -12.0, 8.5};
-    }
-    CalibrationReport::GridCheck gc;
-    gc.grid = "wide";
-    gc.summary = r.after;
-    r.gridChecks = {gc, gc};
-    return r;
-}
-
 /** Write @p text to @p path and run @p load on it: it must return or
  *  throw std::runtime_error (any other exception fails the test, a
  *  crash fails the run). @return whether it loaded. */
@@ -190,17 +163,7 @@ TEST(ReportReaders, AccuracyReportPrefixesAndByteFlipsLoadOrThrow)
     sweepCorruptions(accuracyJson(rep),
                      ::testing::TempDir() + "mipp_report_acc.json",
                      [&](const std::string &path) {
-                         loadBaselineMapes(path);
                          compareToBaseline(rep, path, 0.0);
-                     });
-}
-
-TEST(ReportReaders, CalibrationReportPrefixesAndByteFlipsLoadOrThrow)
-{
-    sweepCorruptions(calibrationJson(calibrationReport()),
-                     ::testing::TempDir() + "mipp_report_cal.json",
-                     [](const std::string &path) {
-                         loadCalibrationJson(path);
                      });
 }
 

@@ -695,14 +695,15 @@ TEST_F(ServeTest, StatsOpCarriesUptimeQueueDepthAndByteCounters)
     EXPECT_GT(r2["uptime_ms"].number(), r1["uptime_ms"].number());
     EXPECT_GE(r2["bytes_out"].number(), r1["bytes_out"].number());
 
-    // The ServerStats projection and the direct renders agree in kind.
+    // The ServerStats projection and the metrics op agree in kind.
     ServerStats st = server_->stats();
     EXPECT_GT(st.uptimeMs, 0.0);
     EXPECT_GE(st.lruMisses, 1u);
     EXPECT_GT(st.bytesIn, 0u);
-    json::Value doc = parsed(server_->metricsJson());
-    EXPECT_FALSE(doc["metrics"].array().empty());
-    EXPECT_NE(server_->metricsPrometheus().find("serve_requests_total"),
+    json::Value m = call(c, R"({"op":"metrics","format":"both"})");
+    ASSERT_TRUE(m["ok"].boolean()) << m["error"].str();
+    EXPECT_FALSE(m["metrics"].array().empty());
+    EXPECT_NE(m["prometheus"].str().find("serve_requests_total"),
               std::string::npos);
 }
 

@@ -38,13 +38,16 @@ TEST(Status, FactoriesCarryCodeAndMessage)
 
 TEST(Status, CodeNamesRoundTrip)
 {
-    for (StatusCode c :
-         {StatusCode::Ok, StatusCode::InvalidArgument,
-          StatusCode::DeadlineExceeded, StatusCode::ResourceExhausted,
-          StatusCode::Corrupt, StatusCode::Internal})
-        EXPECT_EQ(statusCodeFromName(statusCodeName(c)), c);
-    // Unknown names are a library bug somewhere: map to Internal.
-    EXPECT_EQ(statusCodeFromName("NoSuchCode"), StatusCode::Internal);
+    // The wire names serve replies and CLI errors carry.
+    EXPECT_EQ(statusCodeName(StatusCode::Ok), "Ok");
+    EXPECT_EQ(statusCodeName(StatusCode::InvalidArgument),
+              "InvalidArgument");
+    EXPECT_EQ(statusCodeName(StatusCode::DeadlineExceeded),
+              "DeadlineExceeded");
+    EXPECT_EQ(statusCodeName(StatusCode::ResourceExhausted),
+              "ResourceExhausted");
+    EXPECT_EQ(statusCodeName(StatusCode::Corrupt), "Corrupt");
+    EXPECT_EQ(statusCodeName(StatusCode::Internal), "Internal");
 }
 
 TEST(Status, ThrowIfErrorPassesOkAndThrowsOthers)

@@ -50,6 +50,18 @@ TEST(Workload, RequestedLengthHonored)
     EXPECT_LE(t.size(), 12345u + 4u);
 }
 
+TEST(Workload, CancelledTokenEndsTheTraceShort)
+{
+    // The token is checked once per pass over the loop body: a fired
+    // one ends the trace short, a live one changes nothing.
+    WorkloadSpec spec;
+    CancelToken fired = CancelToken::manual();
+    fired.cancel();
+    EXPECT_LT(generateWorkload(spec, 12345, fired).size(), 12345u);
+    CancelToken live = CancelToken::manual();
+    EXPECT_GE(generateWorkload(spec, 12345, live).size(), 12345u);
+}
+
 TEST(Workload, MixRoughlyMatchesSpec)
 {
     WorkloadSpec spec;
