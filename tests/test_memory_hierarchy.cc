@@ -276,6 +276,44 @@ TEST(Cache, ResidentLinesEnumeratesValidWays)
     EXPECT_EQ(lines.size(), 2u);
 }
 
+TEST(Cache, PackedWaysKeepResidency)
+{
+    // One set of four ways. A way packs its line beside the valid and
+    // dirty bits, so line 0 and a line with bit 57 set must neither
+    // alias each other nor lose their high bits.
+    const uint64_t high = (1ULL << 57) | 5;
+    Cache c(tinyCache(4, 4, 1));
+    c.insert(0, false);
+    c.insert(high, false);
+    EXPECT_TRUE(c.peek(0));
+    EXPECT_TRUE(c.peek(high));
+    EXPECT_FALSE(c.peek(5));
+    EXPECT_FALSE(c.peek(1ULL << 57));
+    EXPECT_TRUE(c.markDirty(high));
+
+    EXPECT_FALSE(c.invalidate(0)) << "the copy of line 0 was clean";
+    EXPECT_FALSE(c.peek(0));
+    EXPECT_FALSE(c.markDirty(0));
+    EXPECT_EQ(c.residentLines(), std::vector<uint64_t>{high});
+
+    // The invalidated way leaves without a victim; high then leaves
+    // dirty.
+    EXPECT_FALSE(c.insert(1, false).has_value());
+    EXPECT_FALSE(c.insert(2, false).has_value());
+    EXPECT_FALSE(c.insert(3, false).has_value());
+    auto victim = c.insert(4, false);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->line, high);
+    EXPECT_TRUE(victim->dirty);
+
+    auto clean = c.insert(0, true);
+    ASSERT_TRUE(clean.has_value());
+    EXPECT_EQ(clean->line, 1u);
+    EXPECT_FALSE(clean->dirty);
+    EXPECT_TRUE(c.invalidate(0)) << "the copy of line 0 was dirty";
+    EXPECT_FALSE(c.peek(0));
+}
+
 TEST_F(HierarchyTest, StatsAccessesAddUp)
 {
     MemoryHierarchy mem(cfg);

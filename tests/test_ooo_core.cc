@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/ooo_core.hh"
 
 namespace mipp {
@@ -292,6 +294,23 @@ TEST(OooCore, ActivityCountsConsistent)
     EXPECT_EQ(res.activity.cycles, res.cycles);
     EXPECT_EQ(res.activity.fuOps[static_cast<int>(UopType::Load)],
               res.uops / 2);
+}
+
+TEST(OooCore, DeadlockThrowsAtSameCycle)
+{
+    // With no ROB entries nothing dispatches: a million cycles pass
+    // without a commit and the simulator gives up on the cycle after.
+    TraceBuilder b;
+    for (int i = 0; i < 100; ++i)
+        b.alu(4);
+    CoreConfig cfg = testConfig();
+    cfg.robSize = 0;
+    try {
+        simulate(b.trace, cfg);
+        FAIL() << "a core that cannot dispatch must not finish";
+    } catch (const std::logic_error &e) {
+        EXPECT_STREQ(e.what(), "simulator deadlock at cycle 1000001");
+    }
 }
 
 } // namespace
