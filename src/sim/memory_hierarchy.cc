@@ -27,31 +27,31 @@ Cache::Cache(const CacheConfig &cfg)
     sets_.resize(numSets_ * ways_);
 }
 
+size_t
+Cache::find(const Way *set, uint64_t line) const
+{
+    size_t i = 0;
+    while (i < ways_ && !holds(set[i], line))
+        ++i;
+    return i;
+}
+
 bool
 Cache::lookup(uint64_t line)
 {
     Way *set = &sets_[setIndex(line) * ways_];
-    for (size_t i = 0; i < ways_; ++i) {
-        if (set[i].valid && set[i].line == line) {
-            // Move to MRU position.
-            Way hit = set[i];
-            for (size_t j = i; j > 0; --j)
-                set[j] = set[j - 1];
-            set[0] = hit;
-            return true;
-        }
-    }
-    return false;
+    size_t i = find(set, line);
+    if (i == ways_)
+        return false;
+    // Move to MRU position.
+    std::rotate(set, set + i, set + i + 1);
+    return true;
 }
 
 bool
 Cache::peek(uint64_t line) const
 {
-    const Way *set = &sets_[setIndex(line) * ways_];
-    for (size_t i = 0; i < ways_; ++i)
-        if (set[i].valid && set[i].line == line)
-            return true;
-    return false;
+    return find(&sets_[setIndex(line) * ways_], line) != ways_;
 }
 
 std::optional<Cache::Victim>
@@ -59,23 +59,17 @@ Cache::insert(uint64_t line, bool dirty)
 {
     Way *set = &sets_[setIndex(line) * ways_];
     // Already resident: refresh.
-    for (size_t i = 0; i < ways_; ++i) {
-        if (set[i].valid && set[i].line == line) {
-            set[i].dirty |= dirty;
-            Way hit = set[i];
-            for (size_t j = i; j > 0; --j)
-                set[j] = set[j - 1];
-            set[0] = hit;
-            return std::nullopt;
-        }
+    if (size_t i = find(set, line); i != ways_) {
+        set[i] |= dirty ? kDirty : 0;
+        std::rotate(set, set + i, set + i + 1);
+        return std::nullopt;
     }
     std::optional<Victim> victim;
-    Way &lru = set[ways_ - 1];
-    if (lru.valid)
-        victim = Victim{lru.line, lru.dirty};
-    for (size_t j = ways_ - 1; j > 0; --j)
-        set[j] = set[j - 1];
-    set[0] = {line, true, dirty};
+    Way lru = set[ways_ - 1];
+    if (lru & kValid)
+        victim = Victim{lru >> 2, (lru & kDirty) != 0};
+    std::rotate(set, set + ways_ - 1, set + ways_);
+    set[0] = line << 2 | (dirty ? kDirty : 0) | kValid;
     return victim;
 }
 
@@ -83,35 +77,31 @@ bool
 Cache::markDirty(uint64_t line)
 {
     Way *set = &sets_[setIndex(line) * ways_];
-    for (size_t i = 0; i < ways_; ++i) {
-        if (set[i].valid && set[i].line == line) {
-            set[i].dirty = true;
-            return true;
-        }
-    }
-    return false;
+    size_t i = find(set, line);
+    if (i == ways_)
+        return false;
+    set[i] |= kDirty;
+    return true;
 }
 
 bool
 Cache::invalidate(uint64_t line)
 {
     Way *set = &sets_[setIndex(line) * ways_];
-    for (size_t i = 0; i < ways_; ++i) {
-        if (set[i].valid && set[i].line == line) {
-            set[i].valid = false;
-            return set[i].dirty;
-        }
-    }
-    return false;
+    size_t i = find(set, line);
+    if (i == ways_)
+        return false;
+    set[i] &= ~kValid;
+    return (set[i] & kDirty) != 0;
 }
 
 std::vector<uint64_t>
 Cache::residentLines() const
 {
     std::vector<uint64_t> lines;
-    for (const Way &w : sets_)
-        if (w.valid)
-            lines.push_back(w.line);
+    for (Way w : sets_)
+        if (w & kValid)
+            lines.push_back(w >> 2);
     return lines;
 }
 

@@ -61,13 +61,20 @@ class Cache
     const CacheConfig &config() const { return cfg_; }
 
   private:
-    struct Way {
-        uint64_t line = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** One way in one word: line << 2 | dirty << 1 | valid. Lines are
+     *  byte addresses over the 64-byte line size, so they fit in 62 bits. */
+    using Way = uint64_t;
+    static constexpr Way kValid = 1, kDirty = 2;
+
+    /** Does way @p w hold @p line (dirty or not)? */
+    static bool holds(Way w, uint64_t line)
+    {
+        return (w | kDirty) == (line << 2 | kDirty | kValid);
+    }
 
     size_t setIndex(uint64_t line) const { return line % numSets_; }
+    /** Find @p line in its set; @return its way index, or ways_. */
+    size_t find(const Way *set, uint64_t line) const;
 
     CacheConfig cfg_;
     size_t numSets_;
