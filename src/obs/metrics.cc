@@ -80,16 +80,6 @@ LatencyHistogram::snapshot() const
 
 // ---- Registry -------------------------------------------------------
 
-Registry::Registry() : epoch_(std::chrono::steady_clock::now()) {}
-
-double
-Registry::uptimeMs() const
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-}
-
 Registry::Entry &
 Registry::findOrCreate(std::string_view name, std::string_view labels,
                        Kind kind)

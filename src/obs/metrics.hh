@@ -33,7 +33,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -191,13 +190,13 @@ class LatencyHistogram
  * monotonic value, but no global lock stops the world, so two related
  * metrics (say requests_total and served_total) may disagree by
  * whatever was in flight during the render. Monotonic metrics never
- * decrease between renders; rate math against uptimeMs() is the
- * intended consumption.
+ * decrease between renders; rate math belongs to the scraper, over
+ * its own clock or an uptime the owner reports (serve's `uptime_ms`).
  */
 class Registry
 {
   public:
-    Registry();
+    Registry() = default;
 
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
@@ -206,9 +205,6 @@ class Registry
     Gauge &gauge(std::string_view name, std::string_view labels = {});
     LatencyHistogram &histogram(std::string_view name,
                                 std::string_view labels = {});
-
-    /** Milliseconds since construction (monotonic clock). */
-    double uptimeMs() const;
 
     /** JSON array of metric objects:
      *  {"name":..,"labels":..,"type":"counter","value":N} and for
@@ -238,7 +234,6 @@ class Registry
     // Deque-like stability is unnecessary: entries hold the metric via
     // unique_ptr, so vector growth never moves the metric itself.
     std::vector<Entry> entries_;
-    std::chrono::steady_clock::time_point epoch_;
 };
 
 /** Process-wide registry for code without a narrower scope (CLI). */

@@ -759,7 +759,7 @@ struct Server::Impl {
      * serializing a profile.
      */
     Status
-    opProfileWorkload(const json::Value &doc, const CancelToken &,
+    opProfileWorkload(const json::Value &doc, const CancelToken &cancel,
                       std::string &body)
     {
         const std::string workload = doc.stringOr("workload", "");
@@ -802,11 +802,22 @@ struct Server::Impl {
                 return st;
             source = std::move(mtf);
         } else {
-            generated = generateWorkload(spec, uops);
+            generated = generateWorkload(spec, uops, cancel);
             source = std::make_unique<MaterializedTraceSource>(generated);
         }
-        storeProfile(name, profileSourceParallel(*source, cfg, popts),
-                     body);
+        // A profile of part of the trace would be wrong, not partial:
+        // once the token fires, answer without storing anything.
+        auto expired = [&] {
+            return deadlineExceeded("profile: '" + name +
+                                    "' cancelled before it was built; "
+                                    "nothing stored");
+        };
+        if (cancel.cancelled())
+            return expired();
+        Profile profile = profileSourceParallel(*source, cfg, popts);
+        if (cancel.cancelled())
+            return expired();
+        storeProfile(name, std::move(profile), body);
         return Status();
     }
 

@@ -14,6 +14,21 @@
  * misprediction instead stops instruction delivery until the branch resolves
  * plus the front-end refill time — the same first-order penalty real
  * machines pay (thesis Fig 2.4).
+ *
+ * Scheduling is event-driven but cycle-exact. Each ROB entry counts its
+ * sources whose producer has not completed and sits on those producers'
+ * consumer lists; a completion (popped from a min-heap of done cycles)
+ * wakes its consumers, and issue walks a ready bitmap oldest first, the
+ * order a full ROB scan would visit. A cycle in which no stage acts —
+ * nothing completes, commits, issues, dispatches or is fetched, and the
+ * fetch-stall reason holds — would repeat unchanged until the next
+ * event: a completion, an outstanding miss's data, the end of a fetch
+ * stall, the front-end buffer's head reaching dispatch, or a
+ * non-pipelined unit freeing up. The core jumps straight there and
+ * charges the skipped cycles to the CPI component, DRAM-cycle count and
+ * MLP sum the idle cycle was charged to, so every SimResult equals the
+ * cycle-by-cycle one. The jump stops where the deadlock check fires. The
+ * memory hierarchy needs no ticking: it advances only inside access().
  */
 
 #ifndef MIPP_SIM_OOO_CORE_HH

@@ -257,14 +257,5 @@ TEST(Metrics, RegistryPrometheusExposition)
     EXPECT_LT(b5, text.find("lat_ns_sum"));
 }
 
-TEST(Metrics, UptimeAdvances)
-{
-    Registry reg;
-    double t0 = reg.uptimeMs();
-    EXPECT_GE(t0, 0.0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_GT(reg.uptimeMs(), t0);
-}
-
 } // namespace
 } // namespace mipp

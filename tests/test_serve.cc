@@ -346,6 +346,36 @@ TEST_F(ServeTest, ProfileOpGeneratesServerSideAndValidates)
     EXPECT_EQ(r["code"].str(), "InvalidArgument");
 }
 
+TEST(ServeProfile, FiredTokenAnswersDeadlineExceededAndStoresNothing)
+{
+    // In process, as mipp_cli runs it: the token fired before the op
+    // began, so the trace ends short and no profile may be stored.
+    Server server(ServerOptions{});
+    json::Value req;
+    ASSERT_TRUE(json::parse(R"({"op":"profile","workload":"balanced_mix",)"
+                            R"("uops":20000,"name":"late"})",
+                            req)
+                    .isOk());
+    CancelToken fired = CancelToken::manual();
+    fired.cancel();
+    std::string body;
+    Status st = server.execute(req, fired, body);
+    EXPECT_EQ(st.code(), StatusCode::DeadlineExceeded) << st.toString();
+    EXPECT_TRUE(body.empty()) << body;
+    EXPECT_EQ(server.profile("late"), nullptr);
+
+    json::Value eval;
+    ASSERT_TRUE(json::parse(R"({"op":"evaluate","profile":"late",)"
+                            R"("config":{"width":4,"rob":128}})",
+                            eval)
+                    .isOk());
+    st = server.execute(eval, CancelToken(), body);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument);
+    EXPECT_NE(st.message().find("unknown profile 'late'"),
+              std::string::npos)
+        << st.toString();
+}
+
 TEST_F(ServeTest, EvaluateValidatesConfigAndProfileName)
 {
     startServer();
