@@ -185,46 +185,24 @@ strideMlp(const Profile &p, const CoreConfig &cfg, const StatStack &ss,
     double totalMisses = 0;
     double totalWeighted = 0;
 
-    // Cold misses cluster in time (thesis §4.4): per-window profiled cold
-    // counts redistribute the StatStack-average misses towards the windows
-    // that actually saw first touches.
-    double coldAvg = 0;
-    if (!p.windows.empty()) {
-        for (const auto &w : p.windows)
-            coldAvg += w.coldMisses;
-        coldAvg /= p.windows.size();
-    }
-    // Two passes: first compute per-window expected misses and the
-    // cold-shifted estimates, then renormalize so the whole-program miss
-    // count still matches StatStack.
-    std::vector<double> expMissesW(p.windows.size(), 0.0);
-    std::vector<double> adjMissesW(p.windows.size(), 0.0);
-    double expTotal = 0, adjTotal = 0;
-    for (size_t wi = 0; wi < p.windows.size(); ++wi) {
-        const WindowProfile &w = p.windows[wi];
+    // StatStack-expected LLC misses of the sampled stream, summed per
+    // window; the marking shortfall against it is re-injected in (4).
+    double expTotal = 0;
+    for (const WindowProfile &w : p.windows) {
         double exp = 0;
         for (const auto &[opIdx, count] : w.memCounts) {
             if (!p.memOps[opIdx].isStore)
                 exp += count * ops[opIdx].mrLlc;
         }
-        expMissesW[wi] = exp;
-        adjMissesW[wi] =
-            std::max(0.0, exp + (w.coldMisses - coldAvg));
         expTotal += exp;
-        adjTotal += adjMissesW[wi];
     }
-    const double renorm = adjTotal > 1e-9 ? expTotal / adjTotal : 1.0;
 
     // One stream buffer reused across windows: the rebuild runs once per
     // (profile, config) evaluation and its allocations showed up in
     // DSE-sweep profiles.
     std::vector<VirtualLoad> stream;
     est.windows.reserve(p.windows.size());
-    for (size_t wi = 0; wi < p.windows.size(); ++wi) {
-        const WindowProfile &w = p.windows[wi];
-        double factor = (opt.redistributeCold && expMissesW[wi] > 1e-9) ?
-            adjMissesW[wi] * renorm / expMissesW[wi] : 1.0;
-
+    for (const WindowProfile &w : p.windows) {
         // (1) Rebuild the virtual load stream from spacing + counts.
         stream.clear();
         for (const auto &[opIdx, count] : w.memCounts) {
@@ -234,7 +212,7 @@ strideMlp(const Profile &p, const CoreConfig &cfg, const StatStack &ss,
             OpModel &m = ops[opIdx];
             double first = std::min(sp.avgFirstPos(), mtSize - 1.0);
             double gap = std::max(sp.avgGap(), 1.0);
-            double missProb = std::min(m.mrLlc * factor, 1.0);
+            double missProb = std::min(m.mrLlc, 1.0);
             for (uint32_t k = 0; k < count; ++k) {
                 VirtualLoad v;
                 v.pos = first + k * gap;
@@ -389,11 +367,6 @@ StrideMlpCache::StrideMlpCache(const Profile &p, const StatStack &ss)
         }
     }
 
-    if (!p.windows.empty()) {
-        for (const auto &w : p.windows)
-            coldAvg_ += w.coldMisses;
-        coldAvg_ /= p.windows.size();
-    }
     for (const auto &w : p.windows) {
         coldTotal_ += w.coldMisses;
         uopsTotal_ += w.uops();
@@ -432,16 +405,15 @@ StrideMlpCache::StrideMlpCache(const Profile &p, const StatStack &ss)
 }
 
 const StrideMlpCache::L3State &
-StrideMlpCache::l3State(uint32_t l3Lines, bool redistributeCold)
+StrideMlpCache::l3State(uint32_t l3Lines)
 {
     for (const L3State &s : l3States_)
-        if (s.l3Lines == l3Lines && s.redistributeCold == redistributeCold)
+        if (s.l3Lines == l3Lines)
             return s;
 
     l3States_.emplace_back();
     L3State &st = l3States_.back();
     st.l3Lines = l3Lines;
-    st.redistributeCold = redistributeCold;
     const double llcLines = l3Lines;
 
     st.mrLlcGlobal = ss_.missRatio(p_.reuseLoads, llcLines);
@@ -457,24 +429,15 @@ StrideMlpCache::l3State(uint32_t l3Lines, bool redistributeCold)
             std::clamp(1.0 - mrPred, 0.0, 1.0), ops_[i].depth - 1.0);
     }
 
-    std::vector<double> expMissesW(p_.windows.size(), 0.0);
-    std::vector<double> adjMissesW(p_.windows.size(), 0.0);
-    double expTotal = 0, adjTotal = 0;
-    for (size_t wi = 0; wi < p_.windows.size(); ++wi) {
-        const WindowProfile &w = p_.windows[wi];
+    // Summed per window first, in strideMlp's order.
+    for (const WindowProfile &w : p_.windows) {
         double exp = 0;
         for (const auto &[opIdx, count] : w.memCounts) {
             if (!p_.memOps[opIdx].isStore)
                 exp += count * st.mrLlc[opIdx];
         }
-        expMissesW[wi] = exp;
-        adjMissesW[wi] =
-            std::max(0.0, exp + (w.coldMisses - coldAvg_));
-        expTotal += exp;
-        adjTotal += adjMissesW[wi];
+        st.expTotal += exp;
     }
-    st.expTotal = expTotal;
-    const double renorm = adjTotal > 1e-9 ? expTotal / adjTotal : 1.0;
 
     // Replay strideMlp's error-diffusion marking: per-op accumulators
     // persist across windows in build order, so a single pass over all
@@ -485,13 +448,10 @@ StrideMlpCache::l3State(uint32_t l3Lines, bool redistributeCold)
     st.missEvents.resize(p_.windows.size());
     for (size_t wi = 0; wi < p_.windows.size(); ++wi) {
         const WindowSkeleton &sk = windows_[wi];
-        double factor = (redistributeCold && expMissesW[wi] > 1e-9) ?
-            adjMissesW[wi] * renorm / expMissesW[wi] : 1.0;
         flag.assign(sk.buildOp.size(), 0);
         for (size_t e = 0; e < sk.buildOp.size(); ++e) {
             uint32_t op = sk.buildOp[e];
-            double missProb = std::min(st.mrLlc[op] * factor, 1.0);
-            missAcc[op] += missProb;
+            missAcc[op] += std::min(st.mrLlc[op], 1.0);
             if (missAcc[op] >= 1.0) {
                 missAcc[op] -= 1.0;
                 flag[e] = 1;
@@ -513,7 +473,7 @@ StrideMlpCache::estimate(const CoreConfig &cfg, const MlpOptions &opt)
     const bool prefetch = opt.modelPrefetcher && cfg.prefetcherEnabled;
     const uint32_t window = opt.windowUops > 0 ?
         std::min(opt.windowUops, cfg.robSize) : cfg.robSize;
-    const L3State &st = l3State(cfg.l3.numLines(), opt.redistributeCold);
+    const L3State &st = l3State(cfg.l3.numLines());
 
     // Residual latency per op after prefetching; 1.0 when the prefetcher
     // is off or its table cannot hold the static loads (strideMlp's

@@ -52,9 +52,6 @@ struct MlpEstimate {
 struct MlpOptions {
     bool modelMshrs = true;
     bool modelPrefetcher = true;  ///< honored if cfg.prefetcherEnabled
-    /** Shift the StatStack-average misses towards windows with profiled
-     *  cold-miss bursts (thesis §4.4 burstiness observation). */
-    bool redistributeCold = false;
     /**
      * Effective instruction-window size for the overlap walk; 0 uses
      * cfg.robSize. The recalibrated model truncates it to the mispredict
@@ -89,10 +86,10 @@ MlpEstimate strideMlp(const Profile &p, const CoreConfig &cfg,
  * and sorts the virtual load stream per call, but most of that work is
  * configuration independent: the event positions and the sort permutation
  * depend only on the profile, and the StatStack miss marking depends only
- * on the LLC line count (and the cold-redistribution knob). This cache
- * builds the stream skeleton once per profile and the marked miss events
- * once per distinct (LLC lines, redistributeCold), so estimate() only
- * replays the per-window overlap walk over the *misses*.
+ * on the LLC line count. This cache builds the stream skeleton once per
+ * profile and the marked miss events once per distinct LLC line count,
+ * so estimate() only replays the per-window overlap walk over the
+ * *misses*.
  *
  * estimate(cfg, opt) is bitwise-identical to strideMlp(p, cfg, ss, opt):
  * every floating-point operation that feeds a result runs in the same
@@ -128,10 +125,9 @@ class StrideMlpCache {
         std::vector<uint32_t> perm;     ///< sorted rank -> build index
         double maxPos = 0;              ///< last sorted pos + 1
     };
-    /** Miss marking for one (LLC lines, redistributeCold) pair. */
+    /** Miss marking for one LLC line count. */
     struct L3State {
         uint32_t l3Lines = 0;
-        bool redistributeCold = false;
         double mrLlcGlobal = 0;
         double expTotal = 0;
         std::vector<double> mrLlc;      ///< per op
@@ -139,7 +135,7 @@ class StrideMlpCache {
         std::vector<std::vector<MissEvent>> missEvents;  ///< per window
     };
 
-    const L3State &l3State(uint32_t l3Lines, bool redistributeCold);
+    const L3State &l3State(uint32_t l3Lines);
 
     const Profile &p_;
     const StatStack &ss_;
@@ -147,7 +143,6 @@ class StrideMlpCache {
     std::vector<WindowSkeleton> windows_;
     std::vector<L3State> l3States_;
     uint32_t staticLoads_ = 0;
-    double coldAvg_ = 0;
     double coldTotal_ = 0;
     double uopsTotal_ = 0;
 };

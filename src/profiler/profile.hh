@@ -173,7 +173,8 @@ struct BranchProfile {
     double entropySum = 0;
     /** Number of distinct static branches. */
     uint64_t staticBranches = 0;
-    /** History length (bits) used during profiling. */
+    /** History length (bits) used during profiling; the profiler
+     *  always writes kHistoryBits (profiler/profiler.hh). */
     uint32_t historyBits = 8;
 
     /** Average linear branch entropy E in [0, 1]. */

@@ -21,6 +21,12 @@
 
 namespace mipp {
 
+/** Global-history length for linear branch entropy (bits); every
+ *  profile records it as Profile::branch.historyBits. */
+inline constexpr uint32_t kHistoryBits = 8;
+/** History bits for the cheap per-window entropy estimate. */
+inline constexpr uint32_t kWindowHistoryBits = 4;
+
 /** Profiling knobs. */
 struct ProfilerConfig {
     std::string name = "workload";
@@ -29,10 +35,6 @@ struct ProfilerConfig {
     SamplingConfig sampling{1000, 20000};
     /** ROB sizes for which dependence chains are profiled (thesis §5.2). */
     std::vector<uint32_t> robSizes = defaultRobSizes();
-    /** Global-history length for linear branch entropy (bits). */
-    uint32_t historyBits = 8;
-    /** History bits for the cheap per-window entropy estimate. */
-    uint32_t windowHistoryBits = 4;
 };
 
 /*

@@ -154,15 +154,7 @@ SegmentProfiler::SegmentProfiler(const ProfilerConfig &cfg, Role role,
     profile_.chains = DependenceChains(cfg.robSizes);
     profile_.loadDeps.resize(cfg.robSizes.size());
     profile_.cold.resize(cfg.robSizes.size());
-    profile_.branch.historyBits = cfg.historyBits;
-    histMask_ = cfg.historyBits >= 64 ?
-        ~0ULL : (1ULL << cfg.historyBits) - 1;
-    winHistMask_ = cfg.windowHistoryBits >= 64 ?
-        ~0ULL : (1ULL << cfg.windowHistoryBits) - 1;
-    // Dense per-pc history tables cost 8 * 2^historyBits bytes per
-    // static branch; beyond ~12 bits that scales badly, so long
-    // histories keep the sparse hashed-(pc, history) representation.
-    denseBranchTables_ = cfg.historyBits <= 12;
+    profile_.branch.historyBits = kHistoryBits;
     if (carry_) {
         const size_t winSize =
             std::max<size_t>(1, cfg.sampling.windowSize);
@@ -170,8 +162,7 @@ SegmentProfiler::SegmentProfiler(const ProfilerConfig &cfg, Role role,
             throw std::invalid_argument(
                 "SegmentProfiler: carry segments must start on a "
                 "sampling-window boundary");
-        pendingBranchBudget_ =
-            std::max(cfg.historyBits, cfg.windowHistoryBits);
+        pendingBranchBudget_ = std::max(kHistoryBits, kWindowHistoryBits);
         chainSamples_.resize(cfg.robSizes.size());
     } else if (baseUop != 0) {
         throw std::invalid_argument(
@@ -320,7 +311,7 @@ SegmentProfiler::observeMemory(const MicroOp &op, uint64_t uopIndex,
         if (carry_)
             run.addStrideUncapped(stride);
         else
-            run.addStride(stride);
+            run.addStrideN(stride, 1);
         run.gapSum += uopIndex - run.lastUopIdx;
         run.gapCount++;
         if (!is_store && op.src1 == op.dst && op.dst != kNoReg)
@@ -354,8 +345,7 @@ SegmentProfiler::observeMemory(const MicroOp &op, uint64_t uopIndex,
 uint32_t
 SegmentProfiler::newBranchTable()
 {
-    const size_t tableSize = static_cast<size_t>(histMask_) + 1;
-    branchTables_.resize(branchTables_.size() + tableSize);
+    branchTables_.resize(branchTables_.size() + kBranchTableSize);
     return numBranchTables_++;
 }
 
@@ -363,7 +353,6 @@ SegmentProfiler::newBranchTable()
 SegmentProfiler::TakenCounts *
 SegmentProfiler::branchTableFor(uint64_t pc)
 {
-    const size_t tableSize = static_cast<size_t>(histMask_) + 1;
     uint32_t table;
     if (branchPcBase_ == ~0ULL) {
         branchPcBase_ = pc & ~(static_cast<uint64_t>(kPcWindow) - 1);
@@ -384,21 +373,15 @@ SegmentProfiler::branchTableFor(uint64_t pc)
             slot = newBranchTable();
         table = slot;
     }
-    return branchTables_.data() + static_cast<size_t>(table) * tableSize;
+    return branchTables_.data() +
+           static_cast<size_t>(table) * kBranchTableSize;
 }
 
 /** Record one branch outcome in the global (pc, history) statistics. */
 void
 SegmentProfiler::addGlobalBranch(uint64_t pc, bool taken, uint64_t hist)
 {
-    if (!denseBranchTables_) {
-        uint64_t key = (pc << cfg_.historyBits) | (hist & histMask_);
-        auto &c = sparseBranchStats_[key];
-        c.taken += taken ? 1 : 0;
-        c.total++;
-        return;
-    }
-    TakenCounts &c = branchTableFor(pc)[hist & histMask_];
+    TakenCounts &c = branchTableFor(pc)[hist & kHistMask];
     c.taken += taken ? 1 : 0;
     c.total++;
 }
@@ -433,8 +416,8 @@ SegmentProfiler::observeBranch(const MicroOp &op, bool inMt)
             affectedWindows_.back().branches.push_back(
                 {op.pc, op.taken});
         } else {
-            uint64_t wkey = (op.pc << cfg_.windowHistoryBits) |
-                            (ghist_ & winHistMask_);
+            uint64_t wkey = (op.pc << kWindowHistoryBits) |
+                            (ghist_ & kWinHistMask);
             auto &wc = mtBranchStats_[wkey];
             wc.taken += op.taken ? 1 : 0;
             wc.total++;
@@ -649,8 +632,7 @@ SegmentProfiler::feed(const MicroOp *ops, size_t n)
         // growth).
         lastAccess_.reserve(std::min<size_t>(n / 8 + 64, 1u << 22));
         lastILine_.reserve(1024);
-        branchTables_.reserve(
-            64 * (static_cast<size_t>(histMask_) + 1));
+        branchTables_.reserve(64 * kBranchTableSize);
         // The per-micro-trace map keeps its capacity across clear();
         // size it once instead of growing through rehashes on the first
         // micro-trace.
@@ -811,40 +793,30 @@ SegmentProfiler::absorb(SegmentProfiler &&seg)
             g = (g << 1) | (pb.taken ? 1 : 0);
         }
     }
-    if (denseBranchTables_) {
-        const size_t tableSize = static_cast<size_t>(histMask_) + 1;
-        auto foldTable = [&](uint64_t pc, uint32_t table) {
-            const TakenCounts *src =
-                seg.branchTables_.data() +
-                static_cast<size_t>(table) * tableSize;
-            TakenCounts *dst = branchTableFor(pc);
-            for (size_t h = 0; h < tableSize; ++h) {
-                dst[h].taken += src[h].taken;
-                dst[h].total += src[h].total;
-            }
-        };
-        if (seg.branchPcBase_ != ~0ULL)
-            for (size_t off = 0; off < kPcWindow; ++off)
-                if (uint32_t slot = seg.branchDirect_[off])
-                    foldTable(seg.branchPcBase_ + off, slot - 1);
-        seg.branchPc_.forEach([&](uint64_t pc, const uint32_t &table) {
-            foldTable(pc, table);
-        });
-    } else {
-        seg.sparseBranchStats_.forEach(
-            [&](uint64_t key, const TakenCounts &c) {
-                auto &dst = sparseBranchStats_[key];
-                dst.taken += c.taken;
-                dst.total += c.total;
-            });
-    }
+    auto foldTable = [&](uint64_t pc, uint32_t table) {
+        const TakenCounts *src =
+            seg.branchTables_.data() +
+            static_cast<size_t>(table) * kBranchTableSize;
+        TakenCounts *dst = branchTableFor(pc);
+        for (size_t h = 0; h < kBranchTableSize; ++h) {
+            dst[h].taken += src[h].taken;
+            dst[h].total += src[h].total;
+        }
+    };
+    if (seg.branchPcBase_ != ~0ULL)
+        for (size_t off = 0; off < kPcWindow; ++off)
+            if (uint32_t slot = seg.branchDirect_[off])
+                foldTable(seg.branchPcBase_ + off, slot - 1);
+    seg.branchPc_.forEach([&](uint64_t pc, const uint32_t &table) {
+        foldTable(pc, table);
+    });
     for (const AffectedWindow &aw : seg.affectedWindows_) {
         uint64_t g = ghistAt[aw.firstBranchOrdinal];
         FlatMap<TakenCounts> stats;
         stats.reserve(aw.branches.size());
         for (const PendingBranch &pb : aw.branches) {
-            uint64_t wkey = (pb.pc << cfg_.windowHistoryBits) |
-                            (g & winHistMask_);
+            uint64_t wkey = (pb.pc << kWindowHistoryBits) |
+                            (g & kWinHistMask);
             auto &c = stats[wkey];
             c.taken += pb.taken ? 1 : 0;
             c.total++;
@@ -957,50 +929,33 @@ SegmentProfiler::finalize() &&
 
     // Finalize branch entropy, iterating in (pc, history) order so the
     // floating-point sum is identical to a sorted-key reference.
-    if (denseBranchTables_) {
-        std::vector<std::pair<uint64_t, uint32_t>> pcs;
-        pcs.reserve(numBranchTables_);
-        if (branchPcBase_ != ~0ULL)
-            for (size_t off = 0; off < kPcWindow; ++off)
-                if (uint32_t slot = branchDirect_[off])
-                    pcs.emplace_back(branchPcBase_ + off, slot - 1);
-        branchPc_.forEach([&](uint64_t pc, const uint32_t &table) {
-            pcs.emplace_back(pc, table);
-        });
-        std::sort(pcs.begin(), pcs.end());
-        const size_t tableSize = static_cast<size_t>(histMask_) + 1;
-        double sum = 0;
-        uint64_t branches = 0;
-        for (const auto &[pc, table] : pcs) {
-            const TakenCounts *tc =
-                branchTables_.data() +
-                static_cast<size_t>(table) * tableSize;
-            for (size_t h = 0; h < tableSize; ++h) {
-                const TakenCounts &c = tc[h];
-                if (!c.total)
-                    continue;
-                double p = static_cast<double>(c.taken) / c.total;
-                sum += c.total * linearEntropy(p);
-                branches += c.total;
-            }
+    std::vector<std::pair<uint64_t, uint32_t>> pcs;
+    pcs.reserve(numBranchTables_);
+    if (branchPcBase_ != ~0ULL)
+        for (size_t off = 0; off < kPcWindow; ++off)
+            if (uint32_t slot = branchDirect_[off])
+                pcs.emplace_back(branchPcBase_ + off, slot - 1);
+    branchPc_.forEach([&](uint64_t pc, const uint32_t &table) {
+        pcs.emplace_back(pc, table);
+    });
+    std::sort(pcs.begin(), pcs.end());
+    double sum = 0;
+    uint64_t branches = 0;
+    for (const auto &[pc, table] : pcs) {
+        const TakenCounts *tc = branchTables_.data() +
+                                static_cast<size_t>(table) * kBranchTableSize;
+        for (size_t h = 0; h < kBranchTableSize; ++h) {
+            const TakenCounts &c = tc[h];
+            if (!c.total)
+                continue;
+            double p = static_cast<double>(c.taken) / c.total;
+            sum += c.total * linearEntropy(p);
+            branches += c.total;
         }
-        profile_.branch.staticBranches = pcs.size();
-        profile_.branch.branches = branches;
-        profile_.branch.entropySum = sum;
-    } else {
-        uint64_t nb = 0;
-        double e = entropyOf(sparseBranchStats_, nb);
-        profile_.branch.branches = nb;
-        profile_.branch.entropySum = e * nb;
-        std::vector<uint64_t> pcs;
-        pcs.reserve(sparseBranchStats_.size());
-        sparseBranchStats_.forEach([&](uint64_t key, const TakenCounts &) {
-            pcs.push_back(key >> cfg_.historyBits);
-        });
-        std::sort(pcs.begin(), pcs.end());
-        profile_.branch.staticBranches = static_cast<uint64_t>(
-            std::unique(pcs.begin(), pcs.end()) - pcs.begin());
     }
+    profile_.branch.staticBranches = pcs.size();
+    profile_.branch.branches = branches;
+    profile_.branch.entropySum = sum;
 
     // Materialize the per-op running state into the profile's output
     // records (sorted stride maps are the serialized representation),

@@ -19,7 +19,7 @@
  * - Role::Carry profiles a segment whose prefix state is unknown. Every
  *   observation that depends on upstream state is deferred into an
  *   explicit boundary record: first-local-touch reuse distances, the
- *   first max(historyBits, windowHistoryBits) branches (their global
+ *   first max(kHistoryBits, kWindowHistoryBits) branches (their global
  *   history is incomplete), the boundary-crossing stride/gap of each
  *   static op, and the order-sensitive dependence-chain float sums
  *   (kept as per-window samples). absorb() resolves every deferral
@@ -149,16 +149,14 @@ class SegmentProfiler
     std::vector<uint32_t> branchDirect_;
     uint64_t branchPcBase_ = ~0ULL;
     FlatMap<uint32_t> branchPc_; // fallback: pc -> table index
-    std::vector<TakenCounts> branchTables_; // tables * (histMask_ + 1)
+    /** History masks for the branch-key hot path; one dense table per
+     *  static branch holds kBranchTableSize counters. */
+    static constexpr uint64_t kHistMask = (1ULL << kHistoryBits) - 1;
+    static constexpr uint64_t kWinHistMask = (1ULL << kWindowHistoryBits) - 1;
+    static constexpr size_t kBranchTableSize = kHistMask + 1;
+    std::vector<TakenCounts> branchTables_; // tables * kBranchTableSize
     uint32_t numBranchTables_ = 0;
-    /** Long histories (> 12 bits) skip the dense tables and hash the
-     *  whole (pc, history) pair, like the per-micro-trace stats. */
-    bool denseBranchTables_ = true;
-    FlatMap<TakenCounts> sparseBranchStats_;
     uint64_t ghist_ = 0;
-    /** Hoisted (1 << historyBits) - 1 masks for the branch-key hot path. */
-    uint64_t histMask_ = 0;
-    uint64_t winHistMask_ = 0;
     /**
      * pc -> memOps index. Program counters cluster in a small static
      * code footprint, so a direct-indexed table over a 64 KiB pc window
@@ -205,30 +203,6 @@ class SegmentProfiler
         /** Reuse distances of this op's accesses (combined stream). */
         LogHistogram reuse;
 
-        void
-        addStride(uint64_t stride)
-        {
-            for (size_t k = 0; k < nInline; ++k) {
-                if (strideKey[k] == stride) {
-                    strideCount[k]++;
-                    return;
-                }
-            }
-            if (nInline < kInlineStrides) {
-                strideKey[nInline] = stride;
-                strideCount[nInline] = 1;
-                nInline++;
-                return;
-            }
-            if (kInlineStrides + strideOverflow.size() < kMaxStrides) {
-                if (strideOverflow.empty())
-                    strideOverflow.reserve(kMaxStrides);
-                strideOverflow[stride]++;
-            } else if (uint64_t *c = strideOverflow.find(stride)) {
-                (*c)++;
-            }
-        }
-
         /** Carry: no admission cap (the global cap is replayed at
          *  absorb), arrival order retained. */
         void
@@ -255,8 +229,9 @@ class SegmentProfiler
         }
 
         /**
-         * Head, during absorb: @p n occurrences of @p stride arriving
-         * at this point of the stream. Admission matches the sequential
+         * Head: @p n occurrences of @p stride arriving at this point of
+         * the stream (n = 1 for each access; during absorb, a carry
+         * segment's count). Admission matches the sequential
          * per-occurrence rule exactly: if the first occurrence is
          * admitted (inline, or under the 64-distinct cap) all @p n
          * count; a stride first seen at a full cap never enters, so
@@ -377,7 +352,7 @@ class SegmentProfiler
     std::vector<std::vector<ChainSample>> chainSamples_; ///< per rob idx
     uint64_t branchOrdinal_ = 0;
     /** Carry: number of leading branches whose global history is
-     *  incomplete (max(historyBits, windowHistoryBits)); 0 for Head. */
+     *  incomplete (max(kHistoryBits, kWindowHistoryBits)); 0 for Head. */
     uint64_t pendingBranchBudget_ = 0;
     bool mtRecordBranches_ = false;
     bool sealed_ = false;

@@ -73,19 +73,6 @@ TEST(ProfilerParallel, BitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(ProfilerParallel, SparseBranchPathBitIdentical)
-{
-    // historyBits > 12 exercises the sparse (pc, history) branch tables
-    // and a larger pending-branch budget in the carry segments.
-    Trace t = generateWorkload(suiteWorkload("branchy"), 100000);
-    ProfilerConfig cfg;
-    cfg.historyBits = 14;
-    Profile seq = profileTrace(t, cfg);
-    MaterializedTraceSource src(t);
-    Profile par = profileSourceParallel(src, cfg, {.threads = 4});
-    expectProfilesIdentical(par, seq);
-}
-
 TEST(ProfilerParallel, UnsampledFallsBackToSequential)
 {
     Trace t = generateWorkload(suiteWorkload("balanced_mix"), 20000);

