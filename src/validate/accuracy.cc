@@ -25,6 +25,10 @@ namespace {
 
 using json::number;
 
+/** |CpiStack::total() - cycles| tolerance of runAccuracy's consistency
+ *  checks, as a fraction of cycles. */
+constexpr double kStackTolerance = 0.01;
+
 constexpr std::array<const char *, kNumAccuracyMetrics> kMetricNames = {
     "cpi",  "base", "branch", "icache", "l2hit", "llcHit",
     "dram", "mrL1", "mrL2",   "mrL3",   "power",
@@ -399,11 +403,11 @@ runAccuracy(const AccuracyOptions &opts)
                     sim, mod, cfg, profiles[wi], names[wi]);
 
                 for (const auto &s :
-                     checkSimConsistency(sim, opts.stackTolerance))
+                     checkSimConsistency(sim, kStackTolerance))
                     viols[wi].push_back(names[wi] + "/" + cfg.name +
                                         ": sim: " + s);
                 for (const auto &s :
-                     checkModelConsistency(mod, opts.stackTolerance))
+                     checkModelConsistency(mod, kStackTolerance))
                     viols[wi].push_back(names[wi] + "/" + cfg.name +
                                         ": model: " + s);
             }
@@ -428,6 +432,23 @@ runAccuracy(const AccuracyOptions &opts)
     return rep;
 }
 
+void
+writeMetricSummaries(
+    std::ostream &os,
+    const std::array<MetricSummary, kNumAccuracyMetrics> &summary,
+    const char *indent)
+{
+    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
+        const MetricSummary &s = summary[k];
+        os << indent << "\"" << kMetricNames[k] << "\": {\"mape\": "
+           << number(s.mape) << ", \"meanSigned\": " << number(s.meanSigned)
+           << ", \"maxAbs\": " << number(s.maxAbs) << ", \"minSigned\": "
+           << number(s.minSigned) << ", \"maxSigned\": "
+           << number(s.maxSigned) << "}"
+           << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
+    }
+}
+
 std::string
 accuracyJson(const AccuracyReport &r)
 {
@@ -441,15 +462,7 @@ accuracyJson(const AccuracyReport &r)
     for (size_t i = 0; i < r.workloadNames.size(); ++i)
         os << (i ? ", " : "") << json::quote(r.workloadNames[i]);
     os << "],\n  \"summary\": {\n";
-    for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
-        const MetricSummary &s = r.summary[k];
-        os << "    \"" << kMetricNames[k] << "\": {\"mape\": "
-           << number(s.mape) << ", \"meanSigned\": " << number(s.meanSigned)
-           << ", \"maxAbs\": " << number(s.maxAbs) << ", \"minSigned\": "
-           << number(s.minSigned) << ", \"maxSigned\": "
-           << number(s.maxSigned) << "}"
-           << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
-    }
+    writeMetricSummaries(os, r.summary, "    ");
     os << "  },\n  \"violations\": [";
     for (size_t i = 0; i < r.violations.size(); ++i)
         os << (i ? ", " : "") << "\n    " << json::quote(r.violations[i]);

@@ -46,6 +46,7 @@
 #define MIPP_VALIDATE_ACCURACY_HH
 
 #include <array>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -97,8 +98,6 @@ struct AccuracyOptions {
     ModelOptions mopts;
     /** Sweep concurrency: 0 = shared pool, 1 = serial in the caller. */
     unsigned threads = 0;
-    /** |CpiStack::total() - cycles| tolerance, fraction of cycles. */
-    double stackTolerance = 0.01;
     /**
      * Cooperative deadline/cancellation, checked per (workload, config)
      * pair. On expiry the harness keeps every finished comparison,
@@ -207,6 +206,16 @@ std::vector<std::string> checkModelConsistency(const ModelResult &m,
 
 /** Serialize a report to JSON (machine-readable, stable key names). */
 std::string accuracyJson(const AccuracyReport &r);
+
+/**
+ * The members of a report's summary object: one `"metric": {...}` line
+ * per metric, each prefixed by @p indent, comma-separated. Shared by
+ * accuracyJson and calibrationJson.
+ */
+void writeMetricSummaries(
+    std::ostream &os,
+    const std::array<MetricSummary, kNumAccuracyMetrics> &summary,
+    const char *indent);
 
 /** Write accuracyJson(r) to @p path. @return success. */
 bool writeAccuracyJson(const AccuracyReport &r, const std::string &path);

@@ -49,6 +49,21 @@ struct FitState {
     size_t nw() const { return names.size(); }
     size_t nc() const { return grid.size(); }
 
+    /** Simulate every (workload, config) of the current grid into
+     *  sims. */
+    void
+    simulateGrid()
+    {
+        const size_t cn = nc();
+        sims.assign(nw() * cn, {});
+        parallelForShared(nw(), opts.threads,
+                          [&](size_t begin, size_t end) {
+            for (size_t wi = begin; wi < end; ++wi)
+                for (size_t ci = 0; ci < cn; ++ci)
+                    sims[wi * cn + ci] = simulate(traces[wi], grid[ci]);
+        });
+    }
+
     /** Evaluate the model at @p cal for every point. */
     std::vector<PointAccuracy>
     evaluate(const ModelCalibration &cal)
@@ -177,7 +192,7 @@ runCalibration(const CalibrationOptions &opts)
     for (const auto &c : st.grid)
         rep.gridNames.push_back(c.name);
 
-    const size_t nw = st.nw(), nc = st.nc();
+    const size_t nw = st.nw();
 
     // --- Stage 1: piecewise entropy fits against simulated predictors ---
     if (opts.fitBranch) {
@@ -219,14 +234,7 @@ runCalibration(const CalibrationOptions &opts)
     // --- Stage 2: simulator ground truth over the grid -------------------
     {
         MIPP_SPAN("calibrate.sim_grid");
-        st.sims.resize(nw * nc);
-        parallelForShared(nw, opts.threads,
-                          [&](size_t begin, size_t end) {
-            for (size_t wi = begin; wi < end; ++wi)
-                for (size_t ci = 0; ci < nc; ++ci)
-                    st.sims[wi * nc + ci] =
-                        simulate(st.traces[wi], st.grid[ci]);
-        });
+        st.simulateGrid();
     }
 
     // "Before": the incoming calibration, incoming branch fits.
@@ -239,7 +247,7 @@ runCalibration(const CalibrationOptions &opts)
 
     // --- Stage 3: coordinate descent over the scalar coefficients --------
     ModelCalibration cal = opts.mopts.cal;
-    if (opts.fitCoefficients) {
+    {
         MIPP_SPAN("calibrate.coefficient_fit");
         for (int round = 0; round < opts.rounds; ++round) {
             ModelCalibration prev = cal;
@@ -258,15 +266,7 @@ runCalibration(const CalibrationOptions &opts)
     // here as a summary far off the "after" column.
     for (const std::string &preset : opts.checkGrids) {
         st.grid = accuracyGrid(preset);
-        const size_t cn = st.nc();
-        st.sims.assign(nw * cn, {});
-        parallelForShared(nw, opts.threads,
-                          [&](size_t begin, size_t end) {
-            for (size_t wi = begin; wi < end; ++wi)
-                for (size_t ci = 0; ci < cn; ++ci)
-                    st.sims[wi * cn + ci] =
-                        simulate(st.traces[wi], st.grid[ci]);
-        });
+        st.simulateGrid();
         CalibrationReport::GridCheck gc;
         gc.grid = preset;
         gc.summary = summarizeAccuracy(st.evaluate(cal));
@@ -315,23 +315,10 @@ calibrationJson(const CalibrationReport &r)
            << number(o.simMissRate) << "}";
     }
     os << (r.branchPoints.empty() ? "" : "\n  ") << "],\n";
-    auto emitMetrics = [&](const auto &summary, const char *indent) {
-        for (size_t k = 0; k < kNumAccuracyMetrics; ++k) {
-            const MetricSummary &s = summary[k];
-            os << indent << "\""
-               << accuracyMetricName(static_cast<AccuracyMetric>(k))
-               << "\": {\"mape\": " << number(s.mape)
-               << ", \"meanSigned\": " << number(s.meanSigned)
-               << ", \"maxAbs\": " << number(s.maxAbs)
-               << ", \"minSigned\": " << number(s.minSigned)
-               << ", \"maxSigned\": " << number(s.maxSigned) << "}"
-               << (k + 1 < kNumAccuracyMetrics ? "," : "") << "\n";
-        }
-    };
     auto emitSummary = [&](const char *name, const auto &summary,
                            const char *tail) {
         os << "  \"" << name << "\": {\n";
-        emitMetrics(summary, "    ");
+        writeMetricSummaries(os, summary, "    ");
         os << "  }" << tail << "\n";
     };
     emitSummary("before", r.before, ",");
@@ -342,7 +329,7 @@ calibrationJson(const CalibrationReport &r)
             const CalibrationReport::GridCheck &gc = r.gridChecks[i];
             os << (i ? "," : "") << "\n    {\"grid\": "
                << json::quote(gc.grid) << ", \"summary\": {\n";
-            emitMetrics(gc.summary, "      ");
+            writeMetricSummaries(os, gc.summary, "      ");
             os << "    }}";
         }
         os << "\n  ]\n";

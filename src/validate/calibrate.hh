@@ -61,8 +61,6 @@ struct CalibrationOptions {
     /** Refit the per-predictor entropy fits (adds one simulation per
      *  (workload, predictor kind) at the reference core). */
     bool fitBranch = true;
-    /** Fit the ModelCalibration scalar coefficients. */
-    bool fitCoefficients = true;
     /** Coordinate-descent sweeps over the coefficient set. */
     int rounds = 3;
     /**
