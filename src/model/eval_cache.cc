@@ -51,19 +51,6 @@ fuWord(const FuPool &pool)
     return pool.count | (uint64_t{pool.pipelined} << 32);
 }
 
-/** FNV-1a over the memo key words; buckets only narrow the candidate
- *  list — an exact key compare still decides, so collisions are safe. */
-uint64_t
-hashWords(const std::vector<uint64_t> &v)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint64_t w : v) {
-        h ^= w;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 } // namespace
 
 double
@@ -241,7 +228,6 @@ EvalContext::EvalContext(const Profile &p)
         if (!sp.isStore)
             loadsSeen_ += sp.count;
     }
-    ratioTable_.reserve(64);
 }
 
 EvalContext::~EvalContext() = default;
@@ -249,146 +235,106 @@ EvalContext::~EvalContext() = default;
 const EvalContext::Ratios &
 EvalContext::ratios(const CoreConfig &cfg)
 {
-    const uint64_t k0 =
-        uint64_t{cfg.l1d.numLines()} << 32 | cfg.l2.numLines();
-    const uint64_t k1 =
-        uint64_t{cfg.l3.numLines()} << 32 | cfg.l1i.numLines();
-    for (RatioSlot &s : ratioTable_)
-        if (s.k0 == k0 && s.k1 == k1)
-            return s.r;
-    const double l1L = cfg.l1d.numLines();
-    const double l2L = cfg.l2.numLines();
-    const double l3L = cfg.l3.numLines();
-    Ratios r;
-    r.l1 = ss_.missRatio(p_.reuseLoads, l1L);
-    r.l2 = ss_.missRatio(p_.reuseLoads, l2L);
-    r.l3 = ss_.missRatio(p_.reuseLoads, l3L);
-    r.s1 = ss_.missRatio(p_.reuseStores, l1L);
-    r.s2 = ss_.missRatio(p_.reuseStores, l2L);
-    r.s3 = ss_.missRatio(p_.reuseStores, l3L);
-    r.i1 = ssI_.missRatio(p_.reuseInsts, cfg.l1i.numLines());
-    r.i2 = ssI_.missRatio(p_.reuseInsts, l2L);
-    r.i3 = ssI_.missRatio(p_.reuseInsts, l3L);
-    ratioTable_.push_back({k0, k1, r});
-    return ratioTable_.back().r;
-}
-
-void
-EvalContext::buildLimitsKey(const CoreConfig &cfg, Level level,
-                            uint32_t depWindow, uint64_t mrL1Bits)
-{
-    // The complete input material of a LimitsEntry: ablation level,
-    // width, ROB, the truncated dependence window, the L1D miss ratio
-    // entering the average latency, the latency-relevant cache levels,
-    // the execution-latency table, the per-port issue capabilities and
-    // the FU pools. The global limits add no inputs beyond it — their
-    // counts and chain length are profile + depWindow functions.
-    std::vector<uint64_t> &key = keyBuf_;
-    key.clear();
-    key.push_back(static_cast<uint64_t>(level));
-    key.push_back(cfg.dispatchWidth);
-    key.push_back(cfg.robSize);
-    key.push_back(depWindow);
-    key.push_back(mrL1Bits);
-    key.push_back(cfg.l1d.latency);
-    key.push_back(cfg.l2.latency);
-    for (int t = 0; t < kNumUopTypes; ++t)
-        key.push_back(cfg.lat.cycles[t]);
-    for (const IssuePort &port : cfg.ports)
-        key.push_back(portMask(port));
-    for (int t = 0; t < kNumUopTypes; ++t)
-        key.push_back(fuWord(cfg.fus[t]));
+    ratios_.key() = {uint64_t{cfg.l1d.numLines()} << 32 | cfg.l2.numLines(),
+                     uint64_t{cfg.l3.numLines()} << 32 | cfg.l1i.numLines()};
+    return ratios_.get([&] {
+        const double l1L = cfg.l1d.numLines();
+        const double l2L = cfg.l2.numLines();
+        const double l3L = cfg.l3.numLines();
+        Ratios r;
+        r.l1 = ss_.missRatio(p_.reuseLoads, l1L);
+        r.l2 = ss_.missRatio(p_.reuseLoads, l2L);
+        r.l3 = ss_.missRatio(p_.reuseLoads, l3L);
+        r.s1 = ss_.missRatio(p_.reuseStores, l1L);
+        r.s2 = ss_.missRatio(p_.reuseStores, l2L);
+        r.s3 = ss_.missRatio(p_.reuseStores, l3L);
+        r.i1 = ssI_.missRatio(p_.reuseInsts, cfg.l1i.numLines());
+        r.i2 = ssI_.missRatio(p_.reuseInsts, l2L);
+        r.i3 = ssI_.missRatio(p_.reuseInsts, l3L);
+        return r;
+    });
 }
 
 const EvalContext::PortsEntry &
 EvalContext::portsEntry(const CoreConfig &cfg)
 {
-    std::vector<uint64_t> key;
-    key.reserve(cfg.ports.size());
+    std::vector<uint64_t> &key = ports_.key();
     for (const IssuePort &port : cfg.ports)
         key.push_back(portMask(port));
-    for (PortsEntry &e : portsTable_)
-        if (e.key == key)
-            return e;
-
-    const WindowStatics &ws = statics_;
-    PortsEntry e;
-    e.key = std::move(key);
-    e.windowMaxAct.reserve(ws.uops.size());
-    for (size_t wi = 0; wi < ws.uops.size(); ++wi) {
-        double maxAct = 0;
-        if (ws.uops[wi] > 0) {
-            auto activity = schedulePorts(ws.counts[wi], cfg);
-            for (double a : activity)
-                maxAct = std::max(maxAct, a);
+    return ports_.get([&] {
+        const WindowStatics &ws = statics_;
+        PortsEntry e;
+        e.windowMaxAct.reserve(ws.uops.size());
+        for (size_t wi = 0; wi < ws.uops.size(); ++wi) {
+            double maxAct = 0;
+            if (ws.uops[wi] > 0) {
+                auto activity = schedulePorts(ws.counts[wi], cfg);
+                for (double a : activity)
+                    maxAct = std::max(maxAct, a);
+            }
+            e.windowMaxAct.push_back(maxAct);
         }
-        e.windowMaxAct.push_back(maxAct);
-    }
-    auto activity = schedulePorts(ws.globalCounts, cfg);
-    for (double a : activity)
-        e.globalMaxAct = std::max(e.globalMaxAct, a);
-    portsTable_.push_back(std::move(e));
-    return portsTable_.back();
+        auto activity = schedulePorts(ws.globalCounts, cfg);
+        for (double a : activity)
+            e.globalMaxAct = std::max(e.globalMaxAct, a);
+        return e;
+    });
 }
 
 const EvalContext::FuEntry &
 EvalContext::fuEntry(const CoreConfig &cfg)
 {
-    std::vector<uint64_t> key;
-    key.reserve(kNumUopTypes * 2);
+    std::vector<uint64_t> &key = fus_.key();
     for (int t = 0; t < kNumUopTypes; ++t)
         key.push_back(fuWord(cfg.fus[t]));
     for (int t = 0; t < kNumUopTypes; ++t)
         key.push_back(cfg.lat.cycles[t]);
-    for (FuEntry &e : fuTable_)
-        if (e.key == key)
-            return e;
-
-    const WindowStatics &ws = statics_;
-    // The per-type rate n*u/count (or /count*lat) is width independent,
-    // so the min over types memoizes; the final min against width*4
-    // happens at combine time (min is exact either way).
-    auto minRate = [&cfg](const std::array<double, kNumUopTypes> &counts,
-                          double n) {
-        double best = std::numeric_limits<double>::infinity();
-        for (int t = 0; t < kNumUopTypes; ++t) {
-            if (counts[t] <= 0)
-                continue;
-            const FuPool &pool = cfg.fus[t];
-            double u = std::max<double>(pool.count, 1);
-            double rate = pool.pipelined ?
-                n * u / counts[t] :
-                n * u /
-                    (counts[t] * cfg.lat.of(static_cast<UopType>(t)));
-            best = std::min(best, rate);
-        }
-        return best;
-    };
-    FuEntry e;
-    e.key = std::move(key);
-    e.windowMinRate.reserve(ws.uops.size());
-    for (size_t wi = 0; wi < ws.uops.size(); ++wi)
-        e.windowMinRate.push_back(
-            ws.uops[wi] > 0 ? minRate(ws.counts[wi], ws.uops[wi]) : 0.0);
-    double nGlobal = 0;
-    for (double c : ws.globalCounts)
-        nGlobal += c;
-    e.globalMinRate = minRate(ws.globalCounts, nGlobal);
-    fuTable_.push_back(std::move(e));
-    return fuTable_.back();
+    return fus_.get([&] {
+        const WindowStatics &ws = statics_;
+        // The per-type rate n*u/count (or /count*lat) is width
+        // independent, so the min over types memoizes; the final min
+        // against width*4 happens at combine time (min is exact either
+        // way).
+        auto minRate = [&cfg](const std::array<double, kNumUopTypes> &counts,
+                              double n) {
+            double best = std::numeric_limits<double>::infinity();
+            for (int t = 0; t < kNumUopTypes; ++t) {
+                if (counts[t] <= 0)
+                    continue;
+                const FuPool &pool = cfg.fus[t];
+                double u = std::max<double>(pool.count, 1);
+                double rate = pool.pipelined ?
+                    n * u / counts[t] :
+                    n * u /
+                        (counts[t] * cfg.lat.of(static_cast<UopType>(t)));
+                best = std::min(best, rate);
+            }
+            return best;
+        };
+        FuEntry e;
+        e.windowMinRate.reserve(ws.uops.size());
+        for (size_t wi = 0; wi < ws.uops.size(); ++wi)
+            e.windowMinRate.push_back(ws.uops[wi] > 0 ?
+                minRate(ws.counts[wi], ws.uops[wi]) : 0.0);
+        double nGlobal = 0;
+        for (double c : ws.globalCounts)
+            nGlobal += c;
+        e.globalMinRate = minRate(ws.globalCounts, nGlobal);
+        return e;
+    });
 }
 
 const std::vector<double> &
 EvalContext::windowCp(uint32_t robSize)
 {
-    for (auto &[k, v] : windowCps_)
-        if (k == robSize)
-            return v;
-    std::vector<double> cps;
-    cps.reserve(p_.windows.size());
-    for (const WindowProfile &w : p_.windows)
-        cps.push_back(windowChainLength(w.cp, p_.robSizes, robSize));
-    return windowCps_.emplace_back(robSize, std::move(cps)).second;
+    windowCps_.key() = {robSize};
+    return windowCps_.get([&] {
+        std::vector<double> cps;
+        cps.reserve(p_.windows.size());
+        for (const WindowProfile &w : p_.windows)
+            cps.push_back(windowChainLength(w.cp, p_.robSizes, robSize));
+        return cps;
+    });
 }
 
 EvalContext::LimitsEntry
@@ -437,7 +383,7 @@ EvalContext::buildLimits(const CoreConfig &cfg, Level level, double mrL1,
         g.dependences = g.ports = g.fus = g.width;
     } else {
         double latG = mixAvgLatency(ws.globalFrac, cfg, mrL1);
-        double cpG = globalCp(depWindow);
+        double cpG = p_.chains.cp(depWindow);
         double w = depWindow > 0 ?
             static_cast<double>(depWindow) :
             static_cast<double>(cfg.robSize);
@@ -454,122 +400,116 @@ const EvalContext::LimitsEntry &
 EvalContext::limits(const CoreConfig &cfg, Level level, double mrL1,
                     uint32_t depWindow)
 {
-    buildLimitsKey(cfg, level, depWindow, std::bit_cast<uint64_t>(mrL1));
-    if (lastLimits_ && keyBuf_ == lastLimitsKey_)
-        return *lastLimits_;
-    const uint64_t h = hashWords(keyBuf_);
-    std::vector<uint32_t> &bucket = limitsBuckets_[h];
-    for (uint32_t idx : bucket) {
-        if (limitsTable_[idx].first == keyBuf_) {
-            lastLimitsKey_ = keyBuf_;
-            lastLimits_ = &limitsTable_[idx].second;
-            return *lastLimits_;
-        }
-    }
-    LimitsEntry le = buildLimits(cfg, level, mrL1, depWindow);
-    limitsTable_.emplace_back(keyBuf_, std::move(le));
-    bucket.push_back(static_cast<uint32_t>(limitsTable_.size() - 1));
-    lastLimitsKey_ = keyBuf_;
-    lastLimits_ = &limitsTable_.back().second;
-    return *lastLimits_;
+    // The complete input material of a LimitsEntry: ablation level,
+    // width, ROB, the truncated dependence window, the L1D miss ratio
+    // entering the average latency, the latency-relevant cache levels,
+    // the execution-latency table, the per-port issue capabilities and
+    // the FU pools. The global limits add no inputs beyond it — their
+    // counts and chain length are profile + depWindow functions.
+    std::vector<uint64_t> &key = limits_.key();
+    key = {static_cast<uint64_t>(level), cfg.dispatchWidth, cfg.robSize,
+           depWindow, std::bit_cast<uint64_t>(mrL1), cfg.l1d.latency,
+           cfg.l2.latency};
+    for (int t = 0; t < kNumUopTypes; ++t)
+        key.push_back(cfg.lat.cycles[t]);
+    for (const IssuePort &port : cfg.ports)
+        key.push_back(portMask(port));
+    for (int t = 0; t < kNumUopTypes; ++t)
+        key.push_back(fuWord(cfg.fus[t]));
+    return limits_.get(
+        [&] { return buildLimits(cfg, level, mrL1, depWindow); });
 }
 
 const MlpEstimate &
 EvalContext::mlpEstimate(const CoreConfig &cfg, const ModelOptions &opts,
                          uint32_t windowUops)
 {
+    // Keyed on exactly the fields the MLP models read. Width, memory
+    // latency and the prefetch-table size are only read on the
+    // prefetcher path (thesis Eq 4.13 timeliness); keying them at 0
+    // otherwise lets e.g. a pure width sweep share one entry.
     const bool prefetchActive =
         opts.modelPrefetcher && cfg.prefetcherEnabled;
-    MlpKey key{};
-    key.mode = static_cast<uint8_t>(opts.mlpMode);
-    key.mshrs = opts.modelMshrs;
-    key.prefetcher = opts.modelPrefetcher;
-    key.l3Lines = cfg.l3.numLines();
-    key.rob = cfg.robSize;
-    key.mshrCount = cfg.mshrs;
-    // Width, memory latency and the prefetch-table size are only read on
-    // the prefetcher path (thesis Eq 4.13 timeliness); keying them at 0
-    // otherwise lets e.g. a pure width sweep share one entry.
-    key.prefetcherEntries = prefetchActive ? cfg.prefetcherEntries : 0;
-    key.width = prefetchActive ? cfg.dispatchWidth : 0;
-    key.memLatency = prefetchActive ? cfg.memLatency : 0;
-    key.windowUops = windowUops;
-    key.coldInjectBits = std::bit_cast<uint64_t>(opts.cal.coldInject);
-
-    for (MlpSlot &s : mlpTable_)
-        if (s.key == key)
-            return s.est;
-
-    MlpOptions mo{opts.modelMshrs, opts.modelPrefetcher};
-    mo.windowUops = windowUops;
-    mo.coldInject = opts.cal.coldInject;
-    MlpEstimate est;
-    switch (opts.mlpMode) {
-      case ModelOptions::MlpMode::ColdMiss:
-        est = coldMissMlp(p_, cfg, ss_, mo);
-        break;
-      case ModelOptions::MlpMode::Stride:
-        if (!strideCache_)
-            strideCache_ = std::make_unique<StrideMlpCache>(p_, ss_);
-        est = strideCache_->estimate(cfg, mo);
-        break;
-      case ModelOptions::MlpMode::None:
-        est.mlp = 1.0;
-        break;
-    }
-    mlpTable_.push_back({key, std::move(est)});
-    return mlpTable_.back().est;
+    mlps_.key() = {
+        static_cast<uint64_t>(opts.mlpMode) |
+            uint64_t{opts.modelMshrs} << 8 |
+            uint64_t{opts.modelPrefetcher} << 9,
+        uint64_t{cfg.l3.numLines()} << 32 | cfg.robSize,
+        uint64_t{cfg.mshrs} << 32 | windowUops,
+        prefetchActive ?
+            uint64_t{cfg.prefetcherEntries} << 32 | cfg.dispatchWidth : 0,
+        prefetchActive ? cfg.memLatency : 0u,
+        std::bit_cast<uint64_t>(opts.cal.coldInject)};
+    return mlps_.get([&] {
+        MlpOptions mo{opts.modelMshrs, opts.modelPrefetcher};
+        mo.windowUops = windowUops;
+        mo.coldInject = opts.cal.coldInject;
+        MlpEstimate est;
+        switch (opts.mlpMode) {
+          case ModelOptions::MlpMode::ColdMiss:
+            est = coldMissMlp(p_, cfg, ss_, mo);
+            break;
+          case ModelOptions::MlpMode::Stride:
+            if (!strideCache_)
+                strideCache_ = std::make_unique<StrideMlpCache>(p_, ss_);
+            est = strideCache_->estimate(cfg, mo,
+                                         opRatios(cfg.l3.numLines()));
+            break;
+          case ModelOptions::MlpMode::None:
+            est.mlp = 1.0;
+            break;
+        }
+        return est;
+    });
 }
 
 const std::vector<double> &
 EvalContext::opRatios(double lines)
 {
-    const uint64_t bits = std::bit_cast<uint64_t>(lines);
-    for (auto &[k, v] : opRatioTable_)
-        if (k == bits)
-            return v;
-    std::vector<double> v(p_.memOps.size(), 0.0);
-    for (size_t i = 0; i < p_.memOps.size(); ++i)
-        if (!p_.memOps[i].isStore)
-            v[i] = ss_.missRatio(p_.memOps[i].reuse, lines);
-    return opRatioTable_.emplace_back(bits, std::move(v)).second;
+    opRatios_.key() = {std::bit_cast<uint64_t>(lines)};
+    return opRatios_.get([&] {
+        std::vector<double> v(p_.memOps.size(), 0.0);
+        for (size_t i = 0; i < p_.memOps.size(); ++i)
+            if (!p_.memOps[i].isStore)
+                v[i] = ss_.missRatio(p_.memOps[i].reuse, lines);
+        return v;
+    });
 }
 
 const EvalContext::ChainWeights &
 EvalContext::chainWeights(double l2Lines, double l3Lines)
 {
-    ChainKey key{std::bit_cast<uint64_t>(l2Lines),
-                 std::bit_cast<uint64_t>(l3Lines)};
-    for (auto &[k, v] : chainTable_)
-        if (k == key)
-            return v;
+    chainWeights_.key() = {std::bit_cast<uint64_t>(l2Lines),
+                           std::bit_cast<uint64_t>(l3Lines)};
+    return chainWeights_.get([&] {
+        // Combine per-lines ratio vectors: one missRatio pass per
+        // distinct cache size instead of two per (L2, L3) pair. An LLC
+        // hit on a load that depends on other loads cannot be
+        // overlapped, so it serializes.
+        const std::vector<double> &r2 = opRatios(l2Lines);
+        const std::vector<double> &r3 = opRatios(l3Lines);
+        ChainWeights cw;
+        cw.opWeight.assign(p_.memOps.size(), 0.0);
+        for (size_t i = 0; i < p_.memOps.size(); ++i) {
+            const StaticMemProfile &sp = p_.memOps[i];
+            if (sp.isStore)
+                continue;
+            double hit3 = std::max(0.0, r2[i] - r3[i]);
+            cw.opWeight[i] = hit3 * depClamp_[i];
+            cw.globalSerialHits += cw.opWeight[i] * sp.count;
+        }
+        if (loadsSeen_ > 0)
+            cw.globalSerialHits /= loadsSeen_; // per load
 
-    // Combine per-lines ratio vectors: one missRatio pass per distinct
-    // cache size instead of two per (L2, L3) pair. An LLC hit on a load
-    // that depends on other loads cannot be overlapped, so it serializes.
-    const std::vector<double> &r2 = opRatios(l2Lines);
-    const std::vector<double> &r3 = opRatios(l3Lines);
-    ChainWeights cw;
-    cw.opWeight.assign(p_.memOps.size(), 0.0);
-    for (size_t i = 0; i < p_.memOps.size(); ++i) {
-        const StaticMemProfile &sp = p_.memOps[i];
-        if (sp.isStore)
-            continue;
-        double hit3 = std::max(0.0, r2[i] - r3[i]);
-        cw.opWeight[i] = hit3 * depClamp_[i];
-        cw.globalSerialHits += cw.opWeight[i] * sp.count;
-    }
-    if (loadsSeen_ > 0)
-        cw.globalSerialHits /= loadsSeen_; // per load
-
-    cw.windowSerial.assign(p_.windows.size(), 0.0);
-    for (size_t wi = 0; wi < p_.windows.size(); ++wi) {
-        double serialW = 0;
-        for (const auto &[opIdx, cnt] : p_.windows[wi].memCounts)
-            serialW += cw.opWeight[opIdx] * cnt;
-        cw.windowSerial[wi] = serialW;
-    }
-    return chainTable_.emplace_back(key, std::move(cw)).second;
+        cw.windowSerial.assign(p_.windows.size(), 0.0);
+        for (size_t wi = 0; wi < p_.windows.size(); ++wi) {
+            double serialW = 0;
+            for (const auto &[opIdx, cnt] : p_.windows[wi].memCounts)
+                serialW += cw.opWeight[opIdx] * cnt;
+            cw.windowSerial[wi] = serialW;
+        }
+        return cw;
+    });
 }
 
 double
@@ -602,60 +542,35 @@ double
 EvalContext::branchResolution(const CoreConfig &cfg, double avgLat,
                               double uopsBetweenMispredicts)
 {
-    ResolutionKey key{cfg.dispatchWidth, cfg.robSize,
-                      std::bit_cast<uint64_t>(avgLat),
-                      std::bit_cast<uint64_t>(uopsBetweenMispredicts)};
-    if (lastResValid_ && key == lastResKey_)
-        return lastResValue_;
-    double v = 0;
-    auto it = std::find_if(resTable_.begin(), resTable_.end(),
-                           [&](const auto &e) { return e.first == key; });
-    if (it != resTable_.end()) {
-        v = it->second;
-    } else {
-        v = resolutionTime(cfg, avgLat, uopsBetweenMispredicts);
-        resTable_.emplace_back(key, v);
-    }
-    lastResKey_ = key;
-    lastResValue_ = v;
-    lastResValid_ = true;
-    return v;
-}
-
-double
-EvalContext::globalCp(uint32_t depWindow)
-{
-    for (const auto &[k, v] : globalCps_)
-        if (k == depWindow)
-            return v;
-    double v = p_.chains.cp(depWindow);
-    globalCps_.emplace_back(depWindow, v);
-    return v;
+    resolutions_.key() = {
+        uint64_t{cfg.dispatchWidth} << 32 | cfg.robSize,
+        std::bit_cast<uint64_t>(avgLat),
+        std::bit_cast<uint64_t>(uopsBetweenMispredicts)};
+    return resolutions_.get([&] {
+        return resolutionTime(cfg, avgLat, uopsBetweenMispredicts);
+    });
 }
 
 const EvalContext::BranchRates &
 EvalContext::branchRates(const BranchMissModel &bm)
 {
-    // Keyed on the coefficient values, not the model's address: callers
-    // pass fresh ModelOptions copies, whose models may reuse an address
-    // with different coefficients.
-    const BranchKey key{std::bit_cast<uint64_t>(bm.slope),
-                        std::bit_cast<uint64_t>(bm.intercept),
-                        std::bit_cast<uint64_t>(bm.knee),
-                        std::bit_cast<uint64_t>(bm.kneeSlope)};
-    for (BranchSlot &s : branchTable_)
-        if (s.key == key)
-            return s.rates;
-    const WindowStatics &ws = statics_;
-    BranchSlot s;
-    s.key = key;
-    s.rates.global = bm.missRate(ws.globalEntropy);
-    s.rates.windowMisses.reserve(p_.windows.size());
-    for (size_t wi = 0; wi < p_.windows.size(); ++wi)
-        s.rates.windowMisses.push_back(
-            bm.missRate(ws.entropyEff[wi]) * p_.windows[wi].branches);
-    branchTable_.push_back(std::move(s));
-    return branchTable_.back().rates;
+    // Keyed on the coefficient values — everything missRate reads — not
+    // the model's address: callers pass fresh ModelOptions copies, whose
+    // models may reuse an address with different coefficients.
+    branchRates_.key() = {std::bit_cast<uint64_t>(bm.slope),
+                          std::bit_cast<uint64_t>(bm.intercept),
+                          std::bit_cast<uint64_t>(bm.knee),
+                          std::bit_cast<uint64_t>(bm.kneeSlope)};
+    return branchRates_.get([&] {
+        const WindowStatics &ws = statics_;
+        BranchRates rates;
+        rates.global = bm.missRate(ws.globalEntropy);
+        rates.windowMisses.reserve(p_.windows.size());
+        for (size_t wi = 0; wi < p_.windows.size(); ++wi)
+            rates.windowMisses.push_back(
+                bm.missRate(ws.entropyEff[wi]) * p_.windows[wi].branches);
+        return rates;
+    });
 }
 
 } // namespace mipp

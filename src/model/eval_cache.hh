@@ -12,25 +12,28 @@
  *
  * An EvalContext pins one Profile and owns the whole evaluation state for
  * it: the StatStack pair, the configuration-independent per-window
- * statistics, and one set of memo tables —
+ * statistics, and one memo table per model component —
  *
  *  - the nine miss ratios of a cache hierarchy, keyed on its line counts;
  *  - global + per-window dispatch limits, keyed on every input of the
  *    computation (ablation level, width, ROB, truncated window, L1D miss
  *    ratio, latencies, issue ports, FU pools), with the port-scheduling
- *    walk and the FU rate fold shared across keys in their own sub-memos;
+ *    walk, the FU rate fold and the per-window chain lengths shared
+ *    across keys in their own sub-memos;
  *  - MLP estimates, keyed on exactly the configuration fields and options
  *    the MLP models read; the stride model replays only the miss walk
- *    through a StrideMlpCache;
- *  - serialized-LLC-hit chain weights per (L2, L3) size pair, combined
- *    from per-cache-size miss-ratio vectors;
+ *    through a StrideMlpCache, fed the per-op miss ratios below;
+ *  - per-op miss ratios per cache size, and the serialized-LLC-hit chain
+ *    weights per (L2, L3) size pair combined from them;
  *  - branch resolution times (thesis Alg 3.2) with the chain
  *    interpolations replayed from precomputed bracket fits;
  *  - branch miss rates, keyed on the values of the BranchMissModel's
  *    coefficients.
  *
- * Every table keys on exactly the inputs it reads — never on pinned
- * options or object addresses — so one context serves any ModelOptions,
+ * Every table is a Memo (util/memo.hh), and every accessor has one shape:
+ * pack the inputs the component reads into the memo's key words, then
+ * find the entry or insert the computed value. Keys never hold pinned
+ * options or object addresses, so one context serves any ModelOptions,
  * and a hit returns the exact double the plain function would have
  * produced. `evaluateModel(ctx, cfg, opts)` therefore equals
  * `evaluateModel(ctx.profile(), cfg, opts)` (which builds a throwaway
@@ -44,6 +47,8 @@
  *  - An EvalContext is NOT thread-safe; use one instance per thread.
  *    Sweeps build one per (workload, shard), or borrow a warm one from a
  *    dse::ModelEvalPool.
+ *  - References returned by the memo accessors stay valid for the
+ *    context's lifetime.
  *  - Memory is bounded by the number of *distinct* levels queried, not by
  *    the number of design points evaluated.
  */
@@ -53,13 +58,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "model/interval_model.hh"
 #include "statstack/statstack.hh"
+#include "util/memo.hh"
 
 namespace mipp {
 
@@ -137,8 +141,7 @@ class EvalContext
     // comment.
 
     /** The nine miss ratios of a design point's cache hierarchy:
-     *  StatStack::missRatio of each stream at each level. The reference
-     *  stays valid until the next ratios() call. */
+     *  StatStack::missRatio of each stream at each level. */
     struct Ratios {
         double l1, l2, l3;  ///< data-load stream
         double s1, s2, s3;  ///< store stream
@@ -190,9 +193,6 @@ class EvalContext
     double branchResolution(const CoreConfig &cfg, double avgLat,
                             double uopsBetweenMispredicts);
 
-    /** profile().chains.cp(depWindow). */
-    double globalCp(uint32_t depWindow);
-
     /** bm.missRate at the global entropy, and bm.missRate(entropyEff)
      *  times the branch count per window. */
     struct BranchRates {
@@ -223,62 +223,20 @@ class EvalContext
         void build(const DependenceChains &chains, bool useAbp);
         double eval(double rob) const;
     };
-    /** Miss ratios keyed on the packed (L1D, L2, L3, L1I) line counts. */
-    struct RatioSlot {
-        uint64_t k0, k1;
-        Ratios r;
-    };
-    /** Port-scheduling walk results keyed on the issue-port signature:
-     *  the walk reads only the per-window uop counts (profile) and the
+    /** Port-scheduling walk results, keyed on the issue-port masks: the
+     *  walk reads only the per-window uop counts (profile) and the
      *  eligible-port sets, so one entry serves every width/ROB/cache
      *  variation sharing a port layout. */
     struct PortsEntry {
-        std::vector<uint64_t> key;  ///< canIssue mask per port
         double globalMaxAct = 0;
         std::vector<double> windowMaxAct;
     };
     /** FU rate folds keyed on the (FU pools, latency table) signature. */
     struct FuEntry {
-        std::vector<uint64_t> key;
         double globalMinRate = 0;
         std::vector<double> windowMinRate;
     };
-    struct MlpKey {
-        uint8_t mode;  ///< ModelOptions::MlpMode
-        bool mshrs, prefetcher;
-        uint32_t l3Lines, rob, mshrCount;
-        /** Zero unless the prefetcher path is active (the only reader
-         *  of width / memLatency / table size in the MLP models). */
-        uint32_t prefetcherEntries, width, memLatency;
-        /** Truncated overlap window (0 = full ROB) and the cold-miss
-         *  shortfall injection fraction (bit pattern). */
-        uint32_t windowUops;
-        uint64_t coldInjectBits;
-        bool operator==(const MlpKey &) const = default;
-    };
-    struct MlpSlot {
-        MlpKey key;
-        MlpEstimate est;
-    };
-    struct ChainKey {
-        uint64_t l2Bits, l3Bits;
-        bool operator==(const ChainKey &) const = default;
-    };
-    struct ResolutionKey {
-        uint32_t width, rob;
-        uint64_t avgLatBits, niBits;
-        bool operator==(const ResolutionKey &) const = default;
-    };
-    /** Bit patterns of slope, intercept, knee and kneeSlope — everything
-     *  BranchMissModel::missRate reads. */
-    using BranchKey = std::array<uint64_t, 4>;
-    struct BranchSlot {
-        BranchKey key;
-        BranchRates rates;
-    };
 
-    void buildLimitsKey(const CoreConfig &cfg, ModelOptions::BaseLevel level,
-                        uint32_t depWindow, uint64_t mrL1Bits);
     LimitsEntry buildLimits(const CoreConfig &cfg,
                             ModelOptions::BaseLevel level, double mrL1,
                             uint32_t depWindow);
@@ -298,30 +256,18 @@ class EvalContext
     double loadsSeen_ = 0;
     std::unique_ptr<StrideMlpCache> strideCache_;
 
-    // A vector for the per-point ratio scan; the deques are grow-only
-    // memo tables handing out stable references.
-    std::vector<RatioSlot> ratioTable_;
-    /** Limits keyed by the full input material; the hash bucket only
-     *  narrows the scan, an exact key compare still decides, so a
-     *  collision cannot corrupt results. */
-    std::deque<std::pair<std::vector<uint64_t>, LimitsEntry>> limitsTable_;
-    std::unordered_map<uint64_t, std::vector<uint32_t>> limitsBuckets_;
-    std::vector<uint64_t> keyBuf_;
-    const LimitsEntry *lastLimits_ = nullptr;
-    std::vector<uint64_t> lastLimitsKey_;
-    std::deque<PortsEntry> portsTable_;
-    std::deque<FuEntry> fuTable_;
-    std::deque<std::pair<uint32_t, std::vector<double>>> windowCps_;
-    std::deque<MlpSlot> mlpTable_;
-    std::deque<std::pair<ChainKey, ChainWeights>> chainTable_;
+    // One memo per component, each keyed on exactly the words it reads.
+    Memo<Ratios> ratios_;
+    Memo<LimitsEntry> limits_;
+    Memo<PortsEntry> ports_;
+    Memo<FuEntry> fus_;
+    Memo<std::vector<double>> windowCps_;  ///< per-window chain length
+    Memo<MlpEstimate> mlps_;
+    Memo<ChainWeights> chainWeights_;
     /** Per-(cache lines) miss ratio across static ops, load ops only. */
-    std::deque<std::pair<uint64_t, std::vector<double>>> opRatioTable_;
-    std::vector<std::pair<uint32_t, double>> globalCps_;
-    std::deque<BranchSlot> branchTable_;
-    std::vector<std::pair<ResolutionKey, double>> resTable_;
-    ResolutionKey lastResKey_{};
-    double lastResValue_ = 0;
-    bool lastResValid_ = false;
+    Memo<std::vector<double>> opRatios_;
+    Memo<BranchRates> branchRates_;
+    Memo<double> resolutions_;
 };
 
 /**

@@ -404,27 +404,18 @@ StrideMlpCache::StrideMlpCache(const Profile &p, const StatStack &ss)
     }
 }
 
-const StrideMlpCache::L3State &
-StrideMlpCache::l3State(uint32_t l3Lines)
+StrideMlpCache::L3State
+StrideMlpCache::buildL3State(uint32_t l3Lines,
+                             const std::vector<double> &mrLlc) const
 {
-    for (const L3State &s : l3States_)
-        if (s.l3Lines == l3Lines)
-            return s;
-
-    l3States_.emplace_back();
-    L3State &st = l3States_.back();
-    st.l3Lines = l3Lines;
-    const double llcLines = l3Lines;
-
-    st.mrLlcGlobal = ss_.missRatio(p_.reuseLoads, llcLines);
-    st.mrLlc.assign(ops_.size(), 0.0);
+    L3State st;
+    const double mrLlcGlobal = ss_.missRatio(p_.reuseLoads, l3Lines);
     st.indepProb.assign(ops_.size(), 1.0);
     for (size_t i = 0; i < ops_.size(); ++i) {
         if (!ops_[i].isLoad)
             continue;
-        st.mrLlc[i] = ss_.missRatio(p_.memOps[i].reuse, llcLines);
         double mrPred = ops_[i].chase ?
-            std::max(st.mrLlcGlobal, st.mrLlc[i]) : st.mrLlcGlobal;
+            std::max(mrLlcGlobal, mrLlc[i]) : mrLlcGlobal;
         st.indepProb[i] = std::pow(
             std::clamp(1.0 - mrPred, 0.0, 1.0), ops_[i].depth - 1.0);
     }
@@ -434,7 +425,7 @@ StrideMlpCache::l3State(uint32_t l3Lines)
         double exp = 0;
         for (const auto &[opIdx, count] : w.memCounts) {
             if (!p_.memOps[opIdx].isStore)
-                exp += count * st.mrLlc[opIdx];
+                exp += count * mrLlc[opIdx];
         }
         st.expTotal += exp;
     }
@@ -451,7 +442,7 @@ StrideMlpCache::l3State(uint32_t l3Lines)
         flag.assign(sk.buildOp.size(), 0);
         for (size_t e = 0; e < sk.buildOp.size(); ++e) {
             uint32_t op = sk.buildOp[e];
-            missAcc[op] += std::min(st.mrLlc[op], 1.0);
+            missAcc[op] += std::min(mrLlc[op], 1.0);
             if (missAcc[op] >= 1.0) {
                 missAcc[op] -= 1.0;
                 flag[e] = 1;
@@ -467,13 +458,17 @@ StrideMlpCache::l3State(uint32_t l3Lines)
 }
 
 MlpEstimate
-StrideMlpCache::estimate(const CoreConfig &cfg, const MlpOptions &opt)
+StrideMlpCache::estimate(const CoreConfig &cfg, const MlpOptions &opt,
+                         const std::vector<double> &mrLlc)
 {
     MlpEstimate est;
     const bool prefetch = opt.modelPrefetcher && cfg.prefetcherEnabled;
     const uint32_t window = opt.windowUops > 0 ?
         std::min(opt.windowUops, cfg.robSize) : cfg.robSize;
-    const L3State &st = l3State(cfg.l3.numLines());
+    const uint32_t l3Lines = cfg.l3.numLines();
+    l3States_.key() = {l3Lines};
+    const L3State &st =
+        l3States_.get([&] { return buildL3State(l3Lines, mrLlc); });
 
     // Residual latency per op after prefetching; 1.0 when the prefetcher
     // is off or its table cannot hold the static loads (strideMlp's

@@ -25,6 +25,7 @@
 #include "profiler/profile.hh"
 #include "statstack/statstack.hh"
 #include "uarch/core_config.hh"
+#include "util/memo.hh"
 
 namespace mipp {
 
@@ -91,7 +92,11 @@ MlpEstimate strideMlp(const Profile &p, const CoreConfig &cfg,
  * so estimate() only replays the per-window overlap walk over the
  * *misses*.
  *
- * estimate(cfg, opt) is bitwise-identical to strideMlp(p, cfg, ss, opt):
+ * The per-op LLC miss ratios come from the caller (EvalContext memoizes
+ * them per cache size for the chain weights too).
+ *
+ * estimate(cfg, opt, mrLlc) is bitwise-identical to
+ * strideMlp(p, cfg, ss, opt):
  * every floating-point operation that feeds a result runs in the same
  * order on the same values (the bucket walk's position comparisons and
  * accumulation order are replayed exactly; skipped non-miss events never
@@ -101,7 +106,10 @@ class StrideMlpCache {
   public:
     StrideMlpCache(const Profile &p, const StatStack &ss);
 
-    MlpEstimate estimate(const CoreConfig &cfg, const MlpOptions &opt);
+    /** @p mrLlc: StatStack::missRatio of each Profile::memOps entry's
+     *  reuse at cfg.l3.numLines() lines, 0 for stores. */
+    MlpEstimate estimate(const CoreConfig &cfg, const MlpOptions &opt,
+                         const std::vector<double> &mrLlc);
 
   private:
     /** Configuration-independent per-static-op inputs. */
@@ -127,21 +135,19 @@ class StrideMlpCache {
     };
     /** Miss marking for one LLC line count. */
     struct L3State {
-        uint32_t l3Lines = 0;
-        double mrLlcGlobal = 0;
         double expTotal = 0;
-        std::vector<double> mrLlc;      ///< per op
         std::vector<double> indepProb;  ///< per op
         std::vector<std::vector<MissEvent>> missEvents;  ///< per window
     };
 
-    const L3State &l3State(uint32_t l3Lines);
+    L3State buildL3State(uint32_t l3Lines,
+                         const std::vector<double> &mrLlc) const;
 
     const Profile &p_;
     const StatStack &ss_;
     std::vector<OpStatics> ops_;
     std::vector<WindowSkeleton> windows_;
-    std::vector<L3State> l3States_;
+    Memo<L3State> l3States_;  ///< keyed on the LLC line count
     uint32_t staticLoads_ = 0;
     double coldTotal_ = 0;
     double uopsTotal_ = 0;

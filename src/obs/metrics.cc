@@ -235,11 +235,4 @@ Registry::renderPrometheus() const
     return out;
 }
 
-Registry &
-globalRegistry()
-{
-    static Registry r;
-    return r;
-}
-
 } // namespace mipp::obs

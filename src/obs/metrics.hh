@@ -23,8 +23,7 @@
  * (see the snapshot-consistency note on Registry).
  *
  * A Registry is an instance, not a singleton: the serve daemon owns one
- * per Server so tests and repeated in-process servers start from zero,
- * while obs::globalRegistry() serves process-wide needs (CLI tools).
+ * per Server so tests and repeated in-process servers start from zero.
  */
 
 #ifndef MIPP_OBS_METRICS_HH
@@ -235,9 +234,6 @@ class Registry
     // unique_ptr, so vector growth never moves the metric itself.
     std::vector<Entry> entries_;
 };
-
-/** Process-wide registry for code without a narrower scope (CLI). */
-Registry &globalRegistry();
 
 } // namespace mipp::obs
 

@@ -247,8 +247,8 @@ struct Server::Impl {
     std::vector<std::shared_ptr<Connection>> conns;
 
     // ---- metrics ----------------------------------------------------
-    // Per-server registry (deliberately not obs::globalRegistry()) so
-    // in-process test servers and restarted daemons count from zero.
+    // Per-server registry (not a process-wide one) so in-process test
+    // servers and restarted daemons count from zero.
     // Handles are resolved once here; the request path only touches
     // relaxed atomics. See server.hh for the snapshot-consistency
     // contract on the stats/metrics ops.
