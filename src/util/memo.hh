@@ -59,25 +59,27 @@ class Memo
     V &
     get(Make &&make)
     {
-        if (last_ != kNone && matches(last_))
-            return values_[last_];
+        if (last_ != kNone && matches(entries_[last_]))
+            return entries_[last_].value;
         const uint64_t h = hash(key_);
         if (const uint32_t *head = index_.find(h)) {
-            for (uint32_t i = *head; i != kNone; i = next_[i]) {
-                if (matches(i)) {
+            for (uint32_t i = *head; i != kNone; i = entries_[i].next) {
+                if (matches(entries_[i])) {
                     last_ = i;
-                    return values_[i];
+                    return entries_[i].value;
                 }
             }
         }
-        values_.push_back(make());
-        const uint32_t idx = static_cast<uint32_t>(values_.size() - 1);
+        V value = make();
+        const auto begin = static_cast<uint32_t>(words_.size());
         words_.insert(words_.end(), key_.begin(), key_.end());
-        start_.push_back(static_cast<uint32_t>(words_.size()));
+        const auto idx = static_cast<uint32_t>(entries_.size());
         auto [head, fresh] = index_.tryEmplace(h, idx);
-        next_.push_back(fresh ? kNone : std::exchange(head, idx));
+        entries_.push_back({std::move(value), begin,
+                            static_cast<uint32_t>(words_.size()),
+                            fresh ? kNone : std::exchange(head, idx)});
         last_ = idx;
-        return values_.back();
+        return entries_.back().value;
     }
 
     /** FNV-1a over the key words (the index's bucket key). */
@@ -98,22 +100,23 @@ class Memo
   private:
     static constexpr uint32_t kNone = ~uint32_t{0};
 
-    /** Whether entry @p i was stored under the words in key_. */
+    struct Entry {
+        V value;
+        uint32_t begin, end;  ///< its key is words_[begin, end)
+        uint32_t next;        ///< next older entry with its hash, or kNone
+    };
+
+    /** Whether @p e was stored under the words in key_. */
     bool
-    matches(uint32_t i) const
+    matches(const Entry &e) const
     {
-        const uint64_t *first = words_.data() + start_[i];
-        const uint64_t *last = words_.data() + start_[i + 1];
-        return std::equal(key_.begin(), key_.end(), first, last);
+        return std::equal(key_.begin(), key_.end(), words_.begin() + e.begin,
+                          words_.begin() + e.end);
     }
 
     std::vector<uint64_t> key_;
-    std::deque<V> values_;
-    /** Entry i's key words are words_[start_[i], start_[i + 1]). */
+    std::deque<Entry> entries_;
     std::vector<uint64_t> words_;
-    std::vector<uint32_t> start_{0};
-    /** Next older entry with the same hash, or kNone. */
-    std::vector<uint32_t> next_;
     /** Hash -> newest entry with that hash. */
     FlatMap<uint32_t> index_;
     uint32_t last_ = kNone;
