@@ -1,10 +1,11 @@
 #include "profiler/profile_io.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <fstream>
-#include <sstream>
+#include <type_traits>
 
 #include "util/failpoint.hh"
 
@@ -18,44 +19,99 @@ constexpr int kVersion = 2;
 /** FNV-1a over the payload: cheap, dependency-free, and plenty to catch
  *  truncation/bit rot — this is integrity, not authentication. */
 uint64_t
-fnv1a64(const char *data, size_t n)
+fnv1a64(std::string_view bytes)
 {
     uint64_t h = 14695981039346656037ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
+    for (char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
         h *= 1099511628211ull;
     }
     return h;
 }
 
+/**
+ * Payload text builder. Integers print in decimal and doubles as
+ * printf's %.17g (to_chars general, precision 17), so every double
+ * round-trips exactly; a float field is promoted to double, as the
+ * iostream writer this replaced did.
+ */
+struct Text {
+    std::string s;
+
+    Text &
+    operator<<(char c)
+    {
+        s += c;
+        return *this;
+    }
+
+    Text &
+    operator<<(std::string_view v)
+    {
+        s += v;
+        return *this;
+    }
+
+    Text &
+    operator<<(std::integral auto v)
+    {
+        char buf[24];
+        s.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+        return *this;
+    }
+
+    Text &
+    operator<<(double v)
+    {
+        char buf[32];
+        s.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                    std::chars_format::general, 17)
+                          .ptr);
+        return *this;
+    }
+};
+
 void
-writeHistogram(std::ostream &os, const char *tag, const LogHistogram &h)
+writeHistogram(Text &out, const char *tag, const LogHistogram &h)
 {
     // Sparse: only non-empty bins.
     size_t nonEmpty = 0;
     for (size_t b = 0; b < h.numBins(); ++b)
         nonEmpty += h.binCount(b) > 0;
-    os << tag << ' ' << nonEmpty << ' ' << h.infiniteCount() << '\n';
+    out << tag << ' ' << nonEmpty << ' ' << h.infiniteCount() << '\n';
     for (size_t b = 0; b < h.numBins(); ++b) {
         if (h.binCount(b) > 0)
-            os << b << ' ' << h.binCount(b) << '\n';
+            out << b << ' ' << h.binCount(b) << '\n';
     }
 }
 
+/** C-locale whitespace: the field separators >> extraction skipped. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /**
- * Checked token/field reader over the in-memory payload. Every
- * extraction failure, bound violation or token mismatch latches a
- * Status; subsequent reads become no-ops so the parse unwinds without
- * touching further state.
+ * Checked token/field reader: a cursor over the payload bytes, read in
+ * place. Every extraction failure, bound violation or token mismatch
+ * latches a Status; subsequent reads become no-ops so the parse unwinds
+ * without touching further state.
+ *
+ * A number starts after any whitespace: an optional '+', then what
+ * std::from_chars takes for the field's type — decimal digits, with a
+ * '-' only on signed and floating fields; a floating field takes a
+ * decimal fraction and exponent and must be finite (no inf, nan or
+ * hex). It ends where from_chars stops, as a >> extraction did.
  */
 struct In {
-    std::istringstream is;
+    const char *p;
+    const char *end;
     const ProfileLimits &limits;
-    size_t payloadSize;
     Status st;
 
-    In(const std::string &payload, const ProfileLimits &limits)
-        : is(payload), limits(limits), payloadSize(payload.size())
+    In(std::string_view text, const ProfileLimits &limits)
+        : p(text.data()), end(text.data() + text.size()), limits(limits)
     {
     }
 
@@ -69,42 +125,64 @@ struct In {
         return false;
     }
 
+    void
+    skipSpace()
+    {
+        while (p < end && isSpace(*p))
+            ++p;
+    }
+
+    /** The next whitespace-delimited token; empty at the end. */
+    std::string_view
+    token()
+    {
+        skipSpace();
+        const char *b = p;
+        while (p < end && !isSpace(*p))
+            ++p;
+        return {b, static_cast<size_t>(p - b)};
+    }
+
     template <typename T>
     bool
     get(T &v)
     {
         if (!ok())
             return false;
-        if (!(is >> v))
+        skipSpace();
+        const char *b = p;
+        if (b < end && *b == '+') {
+            ++b; // >> took an explicit plus sign; from_chars does not
+            if (b < end && *b == '-')
+                return fail("truncated or malformed field");
+        }
+        auto [next, ec] = std::from_chars(b, end, v);
+        if (ec != std::errc())
             return fail("truncated or malformed field");
+        if constexpr (std::is_floating_point_v<T>)
+            if (!std::isfinite(v))
+                return fail("truncated or malformed field");
+        p = next;
         return true;
     }
 
     bool
-    expect(const char *token)
+    expect(std::string_view want)
     {
         if (!ok())
             return false;
-        std::string t;
-        if (!(is >> t))
-            return fail("truncated input, expected '" +
-                        std::string(token) + "'");
-        if (t != token)
-            return fail("expected '" + std::string(token) + "', got '" +
-                        t + "'");
+        std::string_view t = token();
+        if (t.empty())
+            return fail("truncated input, expected '" + std::string(want) +
+                        "'");
+        if (t != want)
+            return fail("expected '" + std::string(want) + "', got '" +
+                        std::string(t) + "'");
         return true;
     }
 
     /** Bytes not yet consumed — upper-bounds any plausible item count. */
-    size_t
-    remaining()
-    {
-        auto pos = is.tellg();
-        if (pos < 0)
-            return 0;
-        size_t p = static_cast<size_t>(pos);
-        return p >= payloadSize ? 0 : payloadSize - p;
-    }
+    size_t remaining() const { return static_cast<size_t>(end - p); }
 
     /**
      * Read a count that drives an allocation: capped by @p cap and by
@@ -158,7 +236,7 @@ readHistogram(In &in, const char *tag)
 }
 
 Status
-parsePayload(const std::string &payload, Profile &p,
+parsePayload(std::string_view payload, Profile &p,
              const ProfileLimits &limits)
 {
     In in(payload, limits);
@@ -167,11 +245,11 @@ parsePayload(const std::string &payload, Profile &p,
     if (!in.expect("name") ||
         !in.getCount(nameLen, limits.maxNameLen, "name length"))
         return in.st;
-    in.is.get(); // the separating space
-    p.name.resize(nameLen);
-    in.is.read(p.name.data(), static_cast<std::streamsize>(nameLen));
-    if (!in.is)
+    // One separating byte, then the name's raw bytes.
+    if (in.remaining() <= nameLen)
         return corrupt("profile parse: truncated name");
+    p.name.assign(in.p + 1, nameLen);
+    in.p += nameLen + 1;
 
     if (!in.expect("totals") || !in.get(p.totalUops) ||
         !in.get(p.profiledUops) || !in.get(p.profiledInsts))
@@ -358,9 +436,11 @@ slurp(std::istream &is, size_t maxBytes, std::string &out)
 void
 writeProfile(const Profile &p, std::ostream &os)
 {
-    // Payload is staged in memory so the trailing checksum can cover it.
-    std::ostringstream body;
-    body.precision(17);
+    // The whole file is formatted into one string, so the trailing
+    // checksum can cover the payload in place.
+    Text body;
+    body << kMagic << ' ' << kVersion << '\n';
+    const size_t payloadStart = body.s.size();
     // Names may contain spaces in principle; store length-prefixed.
     body << "name " << p.name.size() << ' ' << p.name << '\n';
     body << "totals " << p.totalUops << ' ' << p.profiledUops << ' '
@@ -439,17 +519,17 @@ writeProfile(const Profile &p, std::ostream &os)
     }
     body << "end\n";
 
-    std::string payload = body.str();
-    char sum[32];
-    std::snprintf(sum, sizeof sum, "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a64(payload.data(), payload.size())));
-    os << kMagic << ' ' << kVersion << '\n' << payload << "checksum "
-       << sum << '\n';
+    uint64_t sum =
+        fnv1a64(std::string_view(body.s).substr(payloadStart));
+    body << "checksum ";
+    for (int shift = 60; shift >= 0; shift -= 4)
+        body << "0123456789abcdef"[(sum >> shift) & 15];
+    body << '\n';
+    os.write(body.s.data(), static_cast<std::streamsize>(body.s.size()));
 }
 
 Status
-parseProfile(const std::string &data, Profile &out,
+parseProfile(std::string_view data, Profile &out,
              const ProfileLimits &limits)
 {
     if (data.size() > limits.maxBytes)
@@ -458,15 +538,14 @@ parseProfile(const std::string &data, Profile &out,
 
     // Frame: magic+version line, payload, trailing checksum line.
     size_t firstNl = data.find('\n');
-    if (firstNl == std::string::npos)
+    if (firstNl == std::string_view::npos)
         return corrupt("not a mipp profile (no header line)");
     {
-        std::istringstream hdr(data.substr(0, firstNl));
-        std::string magic;
+        In hdr(data.substr(0, firstNl), limits);
         int version = 0;
-        if (!(hdr >> magic) || magic != kMagic)
+        if (hdr.token() != kMagic)
             return corrupt("not a mipp profile");
-        if (!(hdr >> version))
+        if (!hdr.get(version))
             return corrupt("profile header has no version");
         if (version != kVersion)
             return invalidArgument("unsupported profile version " +
@@ -476,31 +555,28 @@ parseProfile(const std::string &data, Profile &out,
     }
 
     size_t sumPos = data.rfind("\nchecksum ");
-    if (sumPos == std::string::npos || sumPos < firstNl)
+    if (sumPos == std::string_view::npos || sumPos < firstNl)
         return corrupt("profile has no checksum line (truncated?)");
-    const char *payload = data.data() + firstNl + 1;
-    size_t payloadLen = sumPos + 1 - (firstNl + 1);
+    std::string_view payload = data.substr(firstNl + 1, sumPos - firstNl);
 
     uint64_t want = 0;
     {
-        std::istringstream tail(data.substr(sumPos + 1));
-        std::string tok, hex;
-        if (!(tail >> tok >> hex) || tok != "checksum" ||
-            hex.size() != 16)
+        In tail(data.substr(sumPos + 1), limits);
+        tail.token(); // "checksum", as the search above found it
+        std::string_view hex = tail.token();
+        if (hex.size() != 16)
             return corrupt("malformed checksum line");
-        char *end = nullptr;
-        want = std::strtoull(hex.c_str(), &end, 16);
-        if (end != hex.c_str() + hex.size())
+        auto [next, ec] =
+            std::from_chars(hex.data(), hex.data() + hex.size(), want, 16);
+        if (ec != std::errc() || next != hex.data() + hex.size())
             return corrupt("malformed checksum value");
-        std::string rest;
-        if (tail >> rest)
+        if (!tail.token().empty())
             return corrupt("trailing garbage after checksum");
     }
-    if (fnv1a64(payload, payloadLen) != want ||
-        MIPP_FAILPOINT("profile_io.corrupt"))
+    if (fnv1a64(payload) != want || MIPP_FAILPOINT("profile_io.corrupt"))
         return corrupt("checksum mismatch (bit rot or truncation)");
 
-    return parsePayload(std::string(payload, payloadLen), out, limits);
+    return parsePayload(payload, out, limits);
 }
 
 Status

@@ -21,7 +21,21 @@
  * memop table) are validated. Malformed input of any shape yields a
  * Status of Corrupt / InvalidArgument / ResourceExhausted — never UB,
  * OOM, or a crash (tests/test_profile_io.cc drives a malformed corpus
- * plus exhaustive truncations through this promise).
+ * through this promise, tests/test_mutation.cc every truncation and
+ * seeded byte mutations).
+ *
+ * Token grammar. Fields are separated by any C-locale whitespace
+ * (space, tab, CR, LF, VT, FF), so CRLF files read like LF ones. A
+ * keyword ("name", "chains", "w", ...) is a whole whitespace-delimited
+ * token. A number starts after the whitespace with an optional '+',
+ * then decimal digits; a '-' is accepted only on signed fields (stride)
+ * and floating fields. Floating fields take a decimal fraction and
+ * exponent, must be finite (inf and nan are rejected), and must be
+ * representable in the field's type: an overflowing or
+ * underflow-to-zero value is rejected. The profile's name is the
+ * length-prefixed run of raw bytes after one separator byte. The writer
+ * prints integers in decimal and doubles (float fields promoted) as
+ * printf's %.17g, so every value round-trips to the same bits.
  */
 
 #ifndef MIPP_PROFILER_PROFILE_IO_HH
@@ -29,6 +43,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "profiler/profile.hh"
 #include "util/status.hh"
@@ -67,8 +82,9 @@ bool saveProfile(const Profile &profile, const std::string &path);
 Status readProfileChecked(std::istream &is, Profile &out,
                           const ProfileLimits &limits = {});
 
-/** readProfileChecked over an in-memory buffer (server upload path). */
-Status parseProfile(const std::string &data, Profile &out,
+/** readProfileChecked over an in-memory buffer (server upload path),
+ *  read in place: no copy of @p data is made. */
+Status parseProfile(std::string_view data, Profile &out,
                     const ProfileLimits &limits = {});
 
 /** Load from a file. */

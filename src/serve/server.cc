@@ -489,17 +489,21 @@ struct Server::Impl {
                     continue;
                 break; // EOF or error: disconnect
             }
+            // Everything before the appended bytes was searched already
+            // and holds no newline.
+            size_t from = buf.size();
             buf.append(chunk, static_cast<size_t>(n));
             met.bytesIn.add(static_cast<uint64_t>(n));
-            size_t pos;
-            while ((pos = buf.find('\n')) != std::string::npos) {
-                std::string line = buf.substr(0, pos);
-                buf.erase(0, pos + 1);
+            size_t start = 0, pos;
+            while ((pos = buf.find('\n', from)) != std::string::npos) {
+                std::string line = buf.substr(start, pos - start);
+                start = from = pos + 1;
                 if (!line.empty() && line.back() == '\r')
                     line.pop_back();
                 if (!line.empty())
                     enqueue(conn, std::move(line));
             }
+            buf.erase(0, start);
             if (buf.size() > opts.maxRequestBytes) {
                 // A line that can never complete within the limit:
                 // shed and drop the connection rather than buffer on.
@@ -1245,8 +1249,9 @@ Client::recvLine(std::string &response)
 {
     if (fd_ < 0)
         return internalError("client: not connected");
-    size_t pos;
-    while ((pos = buf_.find('\n')) == std::string::npos) {
+    size_t from = 0, pos;
+    while ((pos = buf_.find('\n', from)) == std::string::npos) {
+        from = buf_.size(); // searched; only new bytes are searched next
         char chunk[4096];
         ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0 && errno == EINTR)

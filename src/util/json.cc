@@ -71,15 +71,20 @@ struct Parser {
         // Caller consumed the opening quote.
         out.clear();
         while (p < end) {
+            // Copy each run of plain bytes in one append; the run stops
+            // at a quote, a backslash or a control byte.
+            const char *run = p;
+            while (p < end && *p != '"' && *p != '\\' &&
+                   static_cast<unsigned char>(*p) >= 0x20)
+                ++p;
+            out.append(run, static_cast<size_t>(p - run));
+            if (p >= end)
+                break;
             unsigned char c = static_cast<unsigned char>(*p++);
             if (c == '"')
                 return true;
             if (c < 0x20)
                 return fail("raw control character in string");
-            if (c != '\\') {
-                out += static_cast<char>(c);
-                continue;
-            }
             if (p >= end)
                 return fail("dangling escape");
             char e = *p++;

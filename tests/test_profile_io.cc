@@ -8,7 +8,9 @@
 
 #include <sstream>
 
+#include "golden.hh"
 #include "model/interval_model.hh"
+#include "profile_compare.hh"
 #include "profiler/profile_io.hh"
 #include "profiler/profiler.hh"
 #include "workloads/workload.hh"
@@ -25,6 +27,52 @@ roundTrip(const Profile &p)
     Status st = readProfileChecked(ss, q);
     EXPECT_TRUE(st.isOk()) << st.toString();
     return q;
+}
+
+std::string
+written(const Profile &p)
+{
+    std::ostringstream os;
+    writeProfile(p, os);
+    return os.str();
+}
+
+/** The payload of a written profile: between the header line and the
+ *  checksum line. */
+std::string
+payloadOf(const std::string &text)
+{
+    size_t start = text.find('\n') + 1;
+    return text.substr(start, text.rfind("\nchecksum ") + 1 - start);
+}
+
+/** Frame @p payload with a header and its correct checksum, so the
+ *  field parser, not the checksum check, judges it. */
+std::string
+framed(const std::string &payload)
+{
+    return "mipp-profile 2\n" + payload + "checksum " +
+           golden::digest(payload) + "\n";
+}
+
+/** @p text with its first occurrence of @p from replaced by @p to. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+const Profile &
+smallProfile()
+{
+    static const Profile p = profileTrace(
+        generateWorkload(suiteWorkload("loopy_small"), 20000),
+        {.name = "loopy_small"});
+    return p;
 }
 
 TEST(ProfileIo, ScalarFieldsSurvive)
@@ -189,6 +237,125 @@ TEST(ProfileIo, CountNotBackedByBytesIsRejectedBeforeAllocation)
     // Corrupt either way, and never a crash/OOM.
     Profile out;
     EXPECT_EQ(parseProfile(text, out).code(), StatusCode::Corrupt);
+}
+
+TEST(ProfileIo, EverySuiteProfileParsesAndWritesBackByteForByte)
+{
+    // The reader is pinned to the writer on every suite workload: the
+    // parsed profile equals the in-memory one field for field, and
+    // writing it again gives the same bytes.
+    bool negativeStride = false, windowEntropy = false;
+    for (const std::string &name : golden::suiteNames()) {
+        SCOPED_TRACE(name);
+        Profile p = profileTrace(
+            generateWorkload(suiteWorkload(name), 100000),
+            {.name = name});
+        const std::string text = written(p);
+        Profile q;
+        Status st = parseProfile(text, q);
+        ASSERT_TRUE(st.isOk()) << st.toString();
+        EXPECT_EQ(written(q), text);
+
+        EXPECT_EQ(q.name, p.name);
+        EXPECT_EQ(q.sampling.microTraceSize, p.sampling.microTraceSize);
+        EXPECT_EQ(q.sampling.windowSize, p.sampling.windowSize);
+        EXPECT_EQ(q.branch.historyBits, p.branch.historyBits);
+        expectProfilesIdentical(q, p);
+        for (const StaticMemProfile &op : p.memOps)
+            for (const auto &[stride, n] : op.strides)
+                negativeStride |= stride < 0;
+        for (const WindowProfile &w : p.windows)
+            windowEntropy |= w.branchEntropy != 0;
+    }
+    // The suite exercises the signed and the float fields.
+    EXPECT_TRUE(negativeStride);
+    EXPECT_TRUE(windowEntropy);
+}
+
+TEST(ProfileIo, AnyWhitespaceSeparatesFields)
+{
+    // CRLF line ends, tabs, runs of spaces and an explicit '+' on a
+    // number all read as the LF-and-space file the writer emits.
+    const std::string text = written(smallProfile());
+    std::string payload = payloadOf(text), loose;
+    for (char c : payload) {
+        if (c == '\n')
+            loose += "\r\n";
+        else if (c == ' ')
+            loose += "\t \v";
+        else
+            loose += c;
+    }
+    // The name's one separator byte is part of the length-prefixed
+    // field; keep it a single byte.
+    loose = replaced(loose, "name\t \v11\t \vloopy_small",
+                     "name\t11\tloopy_small");
+    loose = replaced(loose, "totals\t \v", "totals\t \v+");
+
+    Profile q;
+    Status st = parseProfile(framed(loose), q);
+    ASSERT_TRUE(st.isOk()) << st.toString();
+    EXPECT_EQ(written(q), text);
+}
+
+/** @p payload with token @p index (0 = the keyword) of its first line
+ *  that starts with @p keyword replaced by @p token. */
+std::string
+withToken(std::string payload, const std::string &keyword, size_t index,
+          const std::string &token)
+{
+    size_t at = payload.find("\n" + keyword + " ");
+    EXPECT_NE(at, std::string::npos) << keyword;
+    if (at == std::string::npos)
+        return payload;
+    size_t b = at + 1;
+    for (size_t i = 0; i < index; ++i)
+        b = payload.find_first_of(" \n", b) + 1;
+    payload.replace(b, payload.find_first_of(" \n", b) - b, token);
+    return payload;
+}
+
+TEST(ProfileIo, RejectsNonFiniteAndUnrepresentableNumbers)
+{
+    const std::string payload = payloadOf(written(smallProfile()));
+    ASSERT_FALSE(smallProfile().windows.empty());
+    // The branch line's entropy sum is a double field; a window's
+    // branch entropy, after its uop counts, insts and branches, a float.
+    const std::pair<const char *, size_t> fields[] = {
+        {"branch", 2}, {"w", kNumUopTypes + 3}};
+    for (const auto &[keyword, index] : fields) {
+        Profile q;
+        ASSERT_TRUE(
+            parseProfile(framed(withToken(payload, keyword, index, "0.5")),
+                         q)
+                .isOk())
+            << keyword;
+        for (const char *bad :
+             {"inf", "-inf", "+inf", "nan", "NaN", "-nan", "infinity",
+              "1e400", "1e-400", "0x1p3", "+-1", "1e", "."}) {
+            EXPECT_EQ(parseProfile(framed(withToken(payload, keyword,
+                                                    index, bad)),
+                                   q)
+                          .code(),
+                      StatusCode::Corrupt)
+                << keyword << " " << bad;
+        }
+    }
+}
+
+TEST(ProfileIo, RejectsMinusOnUnsignedFields)
+{
+    // >> extraction wrapped "-1" to 2^64-1 on unsigned fields; the
+    // reader rejects it (the writer never emits a sign there).
+    const std::string payload = payloadOf(written(smallProfile()));
+    for (const char *keyword : {"totals", "robsizes", "memops", "cold"}) {
+        Profile q;
+        EXPECT_EQ(
+            parseProfile(framed(withToken(payload, keyword, 1, "-1")), q)
+                .code(),
+            StatusCode::Corrupt)
+            << keyword;
+    }
 }
 
 /**

@@ -82,6 +82,48 @@ TEST(JsonValue, StringLiteralIsAString)
     EXPECT_TRUE(json::Value("x").isString());
 }
 
+TEST(JsonString, RunsAndEscapesDecode)
+{
+    json::Value v;
+    ASSERT_TRUE(json::parse(R"("plain run \"q\" \\ \/ \b\f\n\r\t end")", v)
+                    .isOk());
+    EXPECT_EQ(v.str(), "plain run \"q\" \\ / \b\f\n\r\t end");
+    ASSERT_TRUE(json::parse(R"("\u0041\u00e9\u20AC\u0000x")", v).isOk());
+    EXPECT_EQ(v.str(), std::string("A\xc3\xa9\xe2\x82\xac", 6) +
+                           std::string(1, '\0') + "x");
+    ASSERT_TRUE(json::parse(R"("")", v).isOk());
+    EXPECT_EQ(v.str(), "");
+    // Bytes >= 0x80 are plain bytes, copied as they are.
+    ASSERT_TRUE(json::parse("\"\xff\xfe\"", v).isOk());
+    EXPECT_EQ(v.str(), "\xff\xfe");
+    // quote() and parse() are inverse on every byte value.
+    std::string all;
+    for (int c = 0; c < 256; ++c)
+        all += static_cast<char>(c);
+    ASSERT_TRUE(json::parse(json::quote(all), v).isOk());
+    EXPECT_EQ(v.str(), all);
+}
+
+TEST(JsonString, MalformedStringsNameTheirFault)
+{
+    const std::pair<std::string, const char *> cases[] = {
+        {"\"a\tb\"", "json: raw control character in string"},
+        {"\"ab\\", "json: dangling escape"},
+        {R"("a\qb")", "json: unknown escape"},
+        {R"("\u12")", "json: truncated \\u escape"},
+        {R"("\u12g4")", "json: bad hex digit in \\u escape"},
+        {R"("\ud800")", "json: surrogate \\u escape unsupported"},
+        {R"("abc)", "json: unterminated string"},
+        {"\"", "json: unterminated string"},
+    };
+    for (const auto &[text, message] : cases) {
+        json::Value v;
+        Status st = json::parse(text, v);
+        EXPECT_EQ(st.code(), StatusCode::Corrupt) << text;
+        EXPECT_EQ(st.message(), message) << text;
+    }
+}
+
 // --- Report readers under truncation and corruption -----------------------
 
 /** An accuracy report with every section populated. */

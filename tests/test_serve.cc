@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -427,6 +429,55 @@ TEST_F(ServeTest, CorruptUploadSurvivedAndServingContinues)
     EXPECT_TRUE(r["ok"].boolean());
     r = call(c, R"({"op":"evaluate","profile":"bad"})");
     EXPECT_EQ(r["code"].str(), "InvalidArgument");
+}
+
+TEST_F(ServeTest, UploadSentInSmallWritesIsOneRequest)
+{
+    opts_.workers = 1; // replies in request order
+    startServer();
+    // A raw connection, so the test decides where the writes split.
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s",
+                  opts_.socketPath.c_str());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+
+    // One upload line ending in CRLF, then a ping whose first bytes
+    // share the upload's last write: the server must split exactly at
+    // the two newlines however the bytes arrive.
+    const std::string stream =
+        std::string(R"({"op":"load-profile","name":"w0","data":)") +
+        json::quote(profileText()) + "}\r\n" + R"({"op":"ping","id":7})" +
+        "\n";
+    const size_t piece = 97;
+    for (size_t at = 0; at < stream.size(); at += piece) {
+        size_t n = std::min(piece, stream.size() - at);
+        ASSERT_EQ(::send(fd, stream.data() + at, n, MSG_NOSIGNAL),
+                  static_cast<ssize_t>(n));
+        // Give the reader time to take each piece on its own recv.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+
+    std::string replies;
+    while (std::count(replies.begin(), replies.end(), '\n') < 2) {
+        char chunk[4096];
+        ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+        ASSERT_GT(n, 0) << "server closed before two replies";
+        replies.append(chunk, static_cast<size_t>(n));
+    }
+    ::close(fd);
+    size_t nl = replies.find('\n');
+    json::Value load = parsed(replies.substr(0, nl));
+    EXPECT_TRUE(load["ok"].boolean()) << load["error"].str();
+    EXPECT_EQ(load["profile"].str(), "w0");
+    json::Value ping = parsed(replies.substr(nl + 1, replies.size() - nl - 2));
+    EXPECT_TRUE(ping["ok"].boolean());
+    EXPECT_EQ(ping["id"].number(), 7);
+    EXPECT_EQ(server_->stats().requests, 2u);
 }
 
 TEST_F(ServeTest, DeadlineMidSweepReturnsDegradedFront)
