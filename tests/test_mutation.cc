@@ -18,8 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -27,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "profile_text.hh"
 #include "profiler/profile_io.hh"
 #include "profiler/profiler.hh"
 #include "util/json.hh"
@@ -34,6 +33,8 @@
 
 namespace mipp {
 namespace {
+
+using namespace profile_text;
 
 constexpr uint64_t kSeed = 0x6d697070;   // fixed: the search repeats
 constexpr int kMutationsPerSeed = 250;
@@ -50,56 +51,6 @@ structured(const Status &st)
       default:
         return false;
     }
-}
-
-/** The bytes between the header line and the checksum line; for a
- *  seed without that frame, everything after the first line. */
-std::string
-payloadOf(const std::string &text)
-{
-    size_t nl = text.find('\n');
-    size_t start = nl == std::string::npos ? 0 : nl + 1;
-    size_t sum = text.rfind("\nchecksum ");
-    size_t stop = sum == std::string::npos || sum + 1 < start ? text.size()
-                                                              : sum + 1;
-    return text.substr(start, stop - start);
-}
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-uint64_t
-fnvStep(uint64_t h, char c)
-{
-    return (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-}
-
-/** @p payload framed with a header and its checksum @p fnv. */
-std::string
-framed(std::string_view payload, uint64_t fnv)
-{
-    char sum[17];
-    std::snprintf(sum, sizeof sum, "%016" PRIx64, fnv);
-    std::string text = "mipp-profile 2\n";
-    text.append(payload);
-    text.append("checksum ").append(sum).append("\n");
-    return text;
-}
-
-std::string
-framed(const std::string &payload)
-{
-    uint64_t h = kFnvOffset;
-    for (char c : payload)
-        h = fnvStep(h, c);
-    return framed(payload, h);
-}
-
-std::string
-written(const Profile &p)
-{
-    std::ostringstream os;
-    writeProfile(p, os);
-    return os.str();
 }
 
 /** Parse @p text, input @p index of kind @p kind from seed @p seed; an

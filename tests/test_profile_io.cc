@@ -1,7 +1,9 @@
 /**
  * @file
  * Round-trip tests for profile serialization: a reloaded profile must
- * produce bit-identical model results.
+ * produce bit-identical model results and write back the same bytes.
+ * Also pins the reader's token grammar (profile_io.hh) and sweeps the
+ * malformed-profile corpus.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +13,15 @@
 #include "golden.hh"
 #include "model/interval_model.hh"
 #include "profile_compare.hh"
+#include "profile_text.hh"
 #include "profiler/profile_io.hh"
 #include "profiler/profiler.hh"
 #include "workloads/workload.hh"
 
 namespace mipp {
 namespace {
+
+using namespace profile_text;
 
 Profile
 roundTrip(const Profile &p)
@@ -27,32 +32,6 @@ roundTrip(const Profile &p)
     Status st = readProfileChecked(ss, q);
     EXPECT_TRUE(st.isOk()) << st.toString();
     return q;
-}
-
-std::string
-written(const Profile &p)
-{
-    std::ostringstream os;
-    writeProfile(p, os);
-    return os.str();
-}
-
-/** The payload of a written profile: between the header line and the
- *  checksum line. */
-std::string
-payloadOf(const std::string &text)
-{
-    size_t start = text.find('\n') + 1;
-    return text.substr(start, text.rfind("\nchecksum ") + 1 - start);
-}
-
-/** Frame @p payload with a header and its correct checksum, so the
- *  field parser, not the checksum check, judges it. */
-std::string
-framed(const std::string &payload)
-{
-    return "mipp-profile 2\n" + payload + "checksum " +
-           golden::digest(payload) + "\n";
 }
 
 /** @p text with its first occurrence of @p from replaced by @p to. */

@@ -10,6 +10,7 @@
  *  - queue overflow sheds load with ResourceExhausted, no deadlock;
  *  - a client disconnect mid-request cancels the queued/in-flight work;
  *  - oversized request lines are shed and the connection dropped;
+ *  - an upload line that arrives in many small writes is one request;
  *  - the profile LRU evicts and the stats op reports it all.
  *
  * Responses are checked with the same strict JSON parser the server uses
@@ -445,6 +446,11 @@ TEST_F(ServeTest, UploadSentInSmallWritesIsOneRequest)
     ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof addr),
               0);
+    // A missed newline leaves the server silent: fail, don't hang.
+    timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
 
     // One upload line ending in CRLF, then a ping whose first bytes
     // share the upload's last write: the server must split exactly at
@@ -466,7 +472,7 @@ TEST_F(ServeTest, UploadSentInSmallWritesIsOneRequest)
     while (std::count(replies.begin(), replies.end(), '\n') < 2) {
         char chunk[4096];
         ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        ASSERT_GT(n, 0) << "server closed before two replies";
+        ASSERT_GT(n, 0) << "no second reply within 10 s";
         replies.append(chunk, static_cast<size_t>(n));
     }
     ::close(fd);
