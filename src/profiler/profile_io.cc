@@ -32,8 +32,8 @@ fnv1a64(std::string_view bytes)
 /**
  * Payload text builder. Integers print in decimal and doubles as
  * printf's %.17g (to_chars general, precision 17), so every double
- * round-trips exactly; a float field is promoted to double, as the
- * iostream writer this replaced did.
+ * round-trips exactly; a float field prints as the double it promotes
+ * to.
  */
 struct Text {
     std::string s;
@@ -85,7 +85,8 @@ writeHistogram(Text &out, const char *tag, const LogHistogram &h)
     }
 }
 
-/** C-locale whitespace: the field separators >> extraction skipped. */
+/** C-locale whitespace (space, \t, \n, \v, \f, \r): the field
+ *  separators. */
 bool
 isSpace(char c)
 {
@@ -102,7 +103,7 @@ isSpace(char c)
  * std::from_chars takes for the field's type — decimal digits, with a
  * '-' only on signed and floating fields; a floating field takes a
  * decimal fraction and exponent and must be finite (no inf, nan or
- * hex). It ends where from_chars stops, as a >> extraction did.
+ * hex). It ends where from_chars stops.
  */
 struct In {
     const char *p;
@@ -152,7 +153,7 @@ struct In {
         skipSpace();
         const char *b = p;
         if (b < end && *b == '+') {
-            ++b; // >> took an explicit plus sign; from_chars does not
+            ++b; // the grammar allows a '+'; from_chars does not
             if (b < end && *b == '-')
                 return fail("truncated or malformed field");
         }
